@@ -11,7 +11,9 @@ override and Laplace proposals).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +29,21 @@ PROBLEMS = ("testcase", "pk")
 ESTIMATORS = ("stdmc", "mlmc", "mlmc-naive")
 PROPOSALS = ("prior", "laplace")
 OPTIMIZERS = ("rm", "amsgrad")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has type ``hint``, without coercion.
+
+    An int is a float; a bool is neither an int nor a float.
+    """
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,10 @@ class RunConfig:
     samples_per_level: int = 10_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, _FIELD_TYPES[f.name]):
+                raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.estimator not in ESTIMATORS:
@@ -68,10 +89,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         for name in ("inner_m", "m0", "n_outer", "eig_every", "eig_n_outer",
                      "samples_per_level"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
-        if self.max_iters < 0 or self.levels < 0:
-            raise ConfigurationError("max_iters and levels must be nonnegative")
+        if self.max_iters < 0 or self.levels < 0 or self.seed < 0:
+            raise ConfigurationError("max_iters, levels and seed must be nonnegative")
         if self.tau <= 1.0:
             raise ConfigurationError("tau must exceed 1")
         if self.w0 is not None and not (0.0 < self.w0 <= 1.0):
@@ -131,6 +152,9 @@ class RunConfig:
     def with_overrides(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **kwargs) if kwargs else self
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def default_config(problem: str) -> RunConfig:

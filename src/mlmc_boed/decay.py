@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .gradient import correction_samples
+from .gradient import _chunk_variables, _run_chunks
 from .levels import LevelWeights
 from .model import Design, ProblemModel
-from .rng import PHASE_DECAY, chunk_sizes, stream
+from .rng import PHASE_DECAY
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,23 @@ def decay_study(
     """Empirical mean squares of psi_{M_l} and delta_psi_l for l = 0..levels-1."""
     if levels < 2:
         raise ContractViolationError("decay study needs at least 2 levels")
-    rows = []
-    for lvl in range(levels):
-        sq_delta = 0.0
-        sq_psi = 0.0
-        done = 0
+
+    def row(lvl):
+        def chunk(rng, n):
+            delta, psi, _ = _chunk_variables(
+                model, design, proposal_factory, rng, np.full(n, lvl), weights.m0,
+                antithetic=antithetic, with_psi=True,
+            )
+            return float((delta**2).sum()), float((psi**2).sum()), n
+
         # Chunk the outer samples so high levels stay within memory.
         cap = max(1, 2**22 // int(weights.inner_samples(lvl)))
-        for i, n in enumerate(chunk_sizes(samples_per_level, chunk=cap)):
-            rng = stream(seed, PHASE_DECAY, lvl * 100_000 + i)
-            delta, psi = correction_samples(
-                model, design, lvl, weights, proposal_factory, rng, n,
-                antithetic=antithetic, with_psi_fine=True,
-            )
-            sq_delta += float((delta**2).sum())
-            sq_psi += float((psi**2).sum())
-            done += n
-        rows.append(DecayRow(lvl, sq_psi / done, sq_delta / done, done))
+        sq_delta, sq_psi, done = _run_chunks(
+            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, 1, chunk, chunk=cap
+        )
+        return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
+
+    rows = [row(lvl) for lvl in range(levels)]
     rng_fit = fit_range or (1, levels - 1)
     beta = fit_beta(rows, rng_fit)
     return DecayReport(

@@ -14,18 +14,16 @@ provided here for verification.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractViolationError
-from .gradient import _draw_outer
+from .gradient import _chunk_variables, _run_chunks
 from .levels import LevelWeights
 from .model import Design, ProblemModel
-from .rng import PHASE_EIG, chunk_sizes, stream
+from .rng import PHASE_EIG
 from .testcase import TestCaseParams, gain_g, gain_h
 
 
@@ -35,42 +33,15 @@ class EigEstimate:
     std_error: float
     n_outer: int
     total_inner_cost: int
+    n_fallback: int     # outer samples whose proposal fell back to the prior
 
 
-def _inner_log_weights(model, design, proposal_factory, theta, eps, y, m, rng):
-    fitted = proposal_factory.fit(model, design, theta, eps, y)
-    theta_in, corr = fitted.sample_inner(rng, m)
-    return model.loglik(design, theta, eps, theta_in) + corr
-
-
-def _self_loglik(model, design, theta, eps):
-    return model.loglik(design, theta, eps, theta[:, None, :])[:, 0]
-
-
-def _run_chunked(n_outer, seed, threads, chunk_fn, base_index=0):
-    """Accumulate (sum, sum of squares, cost) of per-sample contributions."""
-    sizes = chunk_sizes(n_outer)
-
-    def work(i_n):
-        i, n = i_n
-        rng = stream(seed, PHASE_EIG, base_index + i)
-        contrib, cost = chunk_fn(rng, n)
-        return contrib.sum(), (contrib**2).sum(), cost
-
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    cost = sum(r[2] for r in results)
+def _eig_estimate(n_outer, sums) -> EigEstimate:
+    total, total_sq, cost, n_fallback = sums
     mean = total / n_outer
     var = max(total_sq / n_outer - mean**2, 0.0)
-    se = sqrt(var / n_outer)
-    return EigEstimate(value=mean, std_error=se, n_outer=n_outer, total_inner_cost=cost)
+    return EigEstimate(value=mean, std_error=sqrt(var / n_outer), n_outer=n_outer,
+                       total_inner_cost=cost, n_fallback=n_fallback)
 
 
 def eig_nested(
@@ -89,13 +60,14 @@ def eig_nested(
         raise ContractViolationError("n_outer and m_inner must be at least 1")
 
     def chunk(rng, n):
-        theta, eps, y = _draw_outer(model, design, n, rng)
-        log_w = _inner_log_weights(model, design, proposal_factory, theta, eps, y, m_inner, rng)
-        log_rho_bar = logsumexp(log_w, axis=-1) - log(m_inner)
-        contrib = _self_loglik(model, design, theta, eps) - log_rho_bar
-        return contrib, n * m_inner
+        levels = np.zeros(n, dtype=np.int64)
+        phi, _, n_fallback = _chunk_variables(
+            model, design, proposal_factory, rng, levels, m_inner, scored=False
+        )
+        return phi.sum(), (phi**2).sum(), n * m_inner, n_fallback
 
-    return _run_chunked(n_outer, seed, threads, chunk, base_index)
+    sums = _run_chunks(n_outer, seed, PHASE_EIG, base_index, threads, chunk)
+    return _eig_estimate(n_outer, sums)
 
 
 def eig_unbiased_mlmc(
@@ -115,29 +87,15 @@ def eig_unbiased_mlmc(
 
     def chunk(rng, n):
         levels = weights.sample_levels(rng, n)
-        contrib = np.empty(n)
+        phi, _, n_fallback = _chunk_variables(
+            model, design, proposal_factory, rng, levels, weights.m0, scored=False
+        )
+        contrib = phi / weights.weight(levels)
         cost = int(weights.inner_samples(levels).sum())
-        for lvl in np.unique(levels):
-            idx = np.flatnonzero(levels == lvl)
-            m = int(weights.inner_samples(lvl))
-            theta, eps, y = _draw_outer(model, design, idx.size, rng)
-            log_w = _inner_log_weights(
-                model, design, proposal_factory, theta, eps, y, m, rng
-            )
-            if lvl == 0:
-                phi = (_self_loglik(model, design, theta, eps)
-                       - (logsumexp(log_w, axis=-1) - log(m)))
-            else:
-                half = m // 2
-                lse_f = logsumexp(log_w, axis=-1)
-                lse_a = logsumexp(log_w[:, :half], axis=-1)
-                lse_b = logsumexp(log_w[:, half:], axis=-1)
-                # (log rhobar_a + log rhobar_b)/2 - log rhobar_fine
-                phi = 0.5 * (lse_a + lse_b) - lse_f + log(2.0)
-            contrib[idx] = phi / weights.weight(int(lvl))
-        return contrib, cost
+        return contrib.sum(), (contrib**2).sum(), cost, n_fallback
 
-    return _run_chunked(n_outer, seed, threads, chunk, base_index)
+    sums = _run_chunks(n_outer, seed, PHASE_EIG, base_index, threads, chunk)
+    return _eig_estimate(n_outer, sums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
 """Monte Carlo estimators for the gradient of the expected information gain.
 
-Building blocks:
-
-* :func:`inner_ratio` -- self-normalized importance-weighted inner average,
-  computed entirely in log space (the ratio of gradient sum to likelihood sum
-  is a softmax-weighted average of scores, which is algebraically identical
-  to the literal ratio but immune to underflow).
 * :func:`psi_standard` -- the biased fixed-M nested MC gradient variable.
 * :func:`correction_samples` -- the multilevel correction variable at one
   level, antithetic (two half-batches averaged) or naive (single half-batch).
 * :func:`unbiased_gradient` -- the randomized-level debiased estimator that
   averages ``delta_psi_l / w_l`` over outer samples.
 
-Outer samples are processed in fixed-size chunks, each owning its own
-deterministic RNG sub-stream, so results are bit-reproducible for a fixed
-master seed no matter how many workers are used.
+These, the EIG estimators and the decay study run on one core over
+fixed-size chunks of outer samples.  A chunk's draws happen per level group
+in increasing level order; the likelihood is then evaluated once per chunk,
+and one segmented reduction forms every half-batch sum under its own max
+shift (inner averages are self-normalized, immune to underflow).  Each chunk
+owns a deterministic RNG sub-stream, so results are bit-reproducible for a
+fixed master seed no matter how many workers are used.
 """
 
 from __future__ import annotations
@@ -23,16 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractViolationError
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import CHUNK_SIZE, PHASE_GRADIENT, chunk_sizes, stream
-
-# Relative tolerance of the antithetic consistency assertions: the fine
-# importance-weighted sums must equal the mean of the two half sums.
-ANTITHETIC_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,16 +55,138 @@ class GradientEstimate:
     n_outer: int
     total_cost: int
     per_sample_sq_norm_mean: float
+    n_fallback: int  # outer samples whose proposal fell back to the prior
 
 
-def _ratio(log_w: np.ndarray, scores: np.ndarray):
-    """Batched inner ratio: ``log_w (n, M)``, ``scores (n, M, d)``."""
-    m = log_w.shape[-1]
-    log_rho_bar = logsumexp(log_w, axis=-1) - np.log(m)
-    shifted = log_w - log_w.max(axis=-1, keepdims=True)
-    lin = np.exp(shifted)
-    ratio = np.einsum("nm,nmd->nd", lin, scores) / lin.sum(axis=-1)[:, None]
-    return log_rho_bar, ratio
+# ---------------------------------------------------------------------------
+# the flat evaluation
+
+
+def _segment_sums(log_w, scores, starts):
+    """Per segment ``[starts[k], starts[k+1])`` of the flat rows: the max log
+    weight, the sum of shifted weights and, when ``scores (N, d)`` is given,
+    the sum of shifted weights times scores."""
+    top = np.maximum.reduceat(log_w, starts)
+    lin = np.exp(log_w - np.repeat(top, np.diff(starts, append=log_w.size)))
+    den = np.add.reduceat(lin, starts)
+    num = None if scores is None else np.add.reduceat(lin[:, None] * scores, starts, axis=0)
+    return top, den, num
+
+
+def _reduce(log_w, scores, counts, m, has_self, split, antithetic):
+    """``(delta, psi)`` of every outer sample, in group order, from flat rows.
+
+    Group ``g`` holds ``counts[g]`` samples, each its self row (if
+    ``has_self[g]``) then ``m[g]`` inner rows, in two halves if ``split[g]``.
+    The inner average is the score ratio, or without ``scores`` the log mean
+    likelihood; ``delta`` is ``coarse - fine`` if split, else ``self - fine``.
+    """
+    self_s, split, m = (np.repeat(x, counts) for x in (has_self, split, m))
+    row0 = np.cumsum(m + self_s) - (m + self_s)
+    keep = np.stack([self_s, np.ones_like(self_s), split], axis=1)
+    starts = np.stack([row0, row0 + self_s, row0 + self_s + m // 2], axis=1)[keep]
+    ia = np.cumsum(keep.sum(axis=1)) - keep.sum(axis=1) + self_s
+    ib = np.where(split, ia + 1, ia)
+
+    top, den, num = _segment_sums(log_w, scores, starts)
+    shift = np.maximum(top[ia], top[ib])
+    ca = np.exp(top[ia] - shift)
+    cb = np.where(split, np.exp(top[ib] - shift), 0.0)
+    den_f = ca * den[ia] + cb * den[ib]
+    if scores is None:
+        self_term = log_w[row0]
+        half = top + np.log(den) - np.log(np.diff(starts, append=log_w.size))
+        fine = shift + np.log(den_f) - np.log(m)
+    else:
+        self_term = scores[row0]
+        half = num / den[:, None]
+        fine = (ca[:, None] * num[ia] + cb[:, None] * num[ib]) / den_f[:, None]
+        split = split[:, None]
+    coarse = 0.5 * (half[ia] + half[ib]) if antithetic else half[ia]
+    psi = self_term - fine
+    return np.where(split, coarse - fine, psi), psi
+
+
+def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
+    theta = model.sample_prior(rng, n)
+    eps = model.sample_noise(rng, n)
+    y = model.simulate(design, theta, eps)
+    return theta, eps, y
+
+
+def _chunk_variables(
+    model, design, proposal_factory, rng, levels, m0, *,
+    scored=True, antithetic=True, with_psi=False,
+):
+    """``(delta, psi, n_fallback)`` of one chunk, in the order of ``levels``.
+
+    A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
+    correction variable (psi itself at level 0), ``psi`` the fine-level psi
+    variable (``None`` unless ``with_psi``).  One likelihood call (``loglik``
+    if not ``scored``) uses the ``(n, M)`` shape when all samples share one
+    ``M``, else the ``(N, 1)`` shape with outer rows repeated.
+    """
+    lv, counts = np.unique(levels, return_counts=True)
+    m = m0 * 2**lv
+    split = lv > 0
+    has_self = ~split | with_psi
+    thetas, epss, inners, corrs = [], [], [], []
+    n_fallback = 0
+    for n_g, m_g, self_g in zip(counts.tolist(), m.tolist(), has_self.tolist()):
+        theta, eps, y = _draw_outer(model, design, n_g, rng)
+        fitted = proposal_factory.fit(model, design, theta, eps, y)
+        theta_in, corr = fitted.sample_inner(rng, m_g)
+        n_fallback += fitted.n_fallback
+        if self_g:
+            theta_in = np.concatenate([theta[:, None, :], theta_in], axis=1)
+            corr = np.concatenate([np.zeros((n_g, 1)), corr], axis=1)
+        thetas.append(theta)
+        epss.append(eps)
+        inners.append(theta_in)
+        corrs.append(corr.ravel())
+
+    lik = model.loglik_score if scored else model.loglik
+    if len(inners) == 1:
+        out = lik(design, thetas[0], epss[0], inners[0])
+    else:
+        rep = np.repeat(m + has_self, counts)
+        theta_in = np.concatenate([t.reshape(-1, model.s) for t in inners])
+        out = lik(design, np.repeat(np.concatenate(thetas), rep, axis=0),
+                  np.repeat(np.concatenate(epss), rep, axis=0), theta_in[:, None, :])
+    log_rho, scores = out if scored else (out, None)
+    log_w = log_rho.ravel() + np.concatenate(corrs)
+    if scored:
+        scores = scores.reshape(log_w.size, -1)
+
+    delta, psi = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+    # Back from group order to the order of ``levels``.
+    order = np.argsort(levels, kind="stable")
+    delta[order], psi[order] = delta.copy(), psi.copy()
+    return delta, (psi if with_psi else None), n_fallback
+
+
+def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK_SIZE):
+    """Termwise sums of ``chunk_fn(rng, n)`` over the chunks of ``n_outer``.
+
+    Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``, so
+    the sums do not depend on ``threads``.
+    """
+    jobs = list(enumerate(chunk_sizes(n_outer, chunk)))
+
+    def work(job):
+        i, n = job
+        return chunk_fn(stream(seed, phase, base_index + i), n)
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, jobs))
+    else:
+        results = [work(j) for j in jobs]
+    return [sum(terms) for terms in zip(*results)]
+
+
+# ---------------------------------------------------------------------------
+# gradient variables
 
 
 def inner_ratio(batch: InnerBatch) -> InnerRatio:
@@ -80,24 +195,11 @@ def inner_ratio(batch: InnerBatch) -> InnerRatio:
     if log_w.size == 0:
         raise ContractViolationError("inner batch must contain at least one sample")
     scores = np.asarray(batch.scores, dtype=float).reshape(log_w.shape[0], -1)
-    lrb, ratio = _ratio(log_w[None, :], scores[None, :, :])
-    return InnerRatio(log_rho_bar=lrb[0], ratio=ratio[0])
-
-
-def _check_antithetic(log_w: np.ndarray, scores: np.ndarray):
-    """Assert the linear-space coupling identities between fine and half sums."""
-    m = log_w.shape[-1]
-    half = m // 2
-    shift = log_w.max(axis=-1, keepdims=True)
-    lin = np.exp(log_w - shift)
-    den_f = lin.sum(axis=-1)
-    den_ab = lin[:, :half].sum(axis=-1) + lin[:, half:].sum(axis=-1)
-    assert np.allclose(den_f, den_ab, rtol=ANTITHETIC_RTOL, atol=0.0)
-    num_f = np.einsum("nm,nmd->nd", lin, scores)
-    num_ab = (np.einsum("nm,nmd->nd", lin[:, :half], scores[:, :half])
-              + np.einsum("nm,nmd->nd", lin[:, half:], scores[:, half:]))
-    scale = np.abs(num_f) + den_f[:, None]
-    assert np.all(np.abs(num_f - num_ab) <= ANTITHETIC_RTOL * scale)
+    top, den, num = _segment_sums(log_w, scores, np.zeros(1, dtype=np.intp))
+    return InnerRatio(
+        log_rho_bar=top[0] + np.log(den[0]) - np.log(log_w.size),
+        ratio=num[0] / den[0],
+    )
 
 
 def delta_from_inner(log_w, scores, level: int, *, self_score=None, antithetic=True):
@@ -108,30 +210,19 @@ def delta_from_inner(log_w, scores, level: int, *, self_score=None, antithetic=T
     its self term); for higher levels the self term cancels between fine and
     coarse and is never formed.
     """
+    n, m = log_w.shape
     if level == 0:
         if self_score is None:
             raise ContractViolationError("level 0 requires the self-score term")
-        _, ratio = _ratio(log_w, scores)
-        return self_score - ratio
-    half = log_w.shape[-1] // 2
-    if __debug__:
-        _check_antithetic(log_w, scores)
-    _, ratio_f = _ratio(log_w, scores)
-    _, ratio_a = _ratio(log_w[:, :half], scores[:, :half])
-    if antithetic:
-        _, ratio_b = _ratio(log_w[:, half:], scores[:, half:])
-        return 0.5 * (ratio_a + ratio_b) - ratio_f
-    return ratio_a - ratio_f
-
-
-def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
-    theta = model.sample_prior(rng, n)
-    eps = model.sample_noise(rng, n)
-    y = model.simulate(design, theta, eps)
-    return theta, eps, y
+        log_w = np.concatenate([np.zeros((n, 1)), log_w], axis=1)
+        scores = np.concatenate([self_score[:, None, :], scores], axis=1)
+    delta, _ = _reduce(log_w.ravel(), scores.reshape(log_w.size, -1), [n], [m],
+                       [level == 0], [level > 0], antithetic)
+    return delta
 
 
 def _inner_weights(model, design, proposal_factory, theta, eps, y, m, rng):
+    """Log importance weights and scores of ``m`` inner samples per outer one."""
     fitted = proposal_factory.fit(model, design, theta, eps, y)
     theta_in, corr = fitted.sample_inner(rng, m)
     log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
@@ -140,13 +231,8 @@ def _inner_weights(model, design, proposal_factory, theta, eps, y, m, rng):
 
 def psi_standard(model, design, n_outer, m_inner, proposal_factory, rng):
     """``n_outer`` i.i.d. draws of the biased fixed-M gradient variable, (n, d)."""
-    theta, eps, y = _draw_outer(model, design, n_outer, rng)
-    log_w, scores, _ = _inner_weights(
-        model, design, proposal_factory, theta, eps, y, m_inner, rng
-    )
-    _, self_score = model.self_loglik_score(design, theta, eps)
-    _, ratio = _ratio(log_w, scores)
-    return self_score - ratio
+    levels = np.zeros(n_outer, dtype=np.int64)
+    return _chunk_variables(model, design, proposal_factory, rng, levels, m_inner)[0]
 
 
 def correction_samples(
@@ -160,21 +246,12 @@ def correction_samples(
     the fine and coarse averages.  With ``with_psi_fine`` the fine-level psi
     variable (used by the decay diagnostics) is returned alongside.
     """
-    m = int(weights.inner_samples(level))
-    theta, eps, y = _draw_outer(model, design, n_outer, rng)
-    log_w, scores, _ = _inner_weights(
-        model, design, proposal_factory, theta, eps, y, m, rng
+    levels = np.full(n_outer, level, dtype=np.int64)
+    delta, psi, _ = _chunk_variables(
+        model, design, proposal_factory, rng, levels, weights.m0,
+        antithetic=antithetic, with_psi=with_psi_fine,
     )
-    self_score = None
-    if level == 0 or with_psi_fine:
-        _, self_score = model.self_loglik_score(design, theta, eps)
-    delta = delta_from_inner(
-        log_w, scores, level, self_score=self_score, antithetic=antithetic
-    )
-    if not with_psi_fine:
-        return delta
-    _, ratio_f = _ratio(log_w, scores)
-    return delta, self_score - ratio_f
+    return (delta, psi) if with_psi_fine else delta
 
 
 def delta_psi_antithetic(model, design, level, weights, proposal_factory, rng):
@@ -193,18 +270,19 @@ def delta_psi_naive(model, design, level, weights, proposal_factory, rng):
     return CorrectionSample(delta=delta[0], level=level, cost=int(weights.inner_samples(level)))
 
 
-def _gradient_chunk(model, design, weights, proposal_factory, rng, n, antithetic):
-    levels = weights.sample_levels(rng, n)
-    contrib = np.empty((n, model.d))
-    cost = int(weights.inner_samples(levels).sum())
-    for lvl in np.unique(levels):
-        idx = np.flatnonzero(levels == lvl)
-        delta = correction_samples(
-            model, design, int(lvl), weights, proposal_factory, rng, idx.size,
-            antithetic=antithetic,
-        )
-        contrib[idx] = delta / weights.weight(int(lvl))
-    return contrib.sum(axis=0), (contrib**2).sum(axis=1).sum(), cost
+# ---------------------------------------------------------------------------
+# estimators
+
+
+def _gradient_estimate(n_outer, sums) -> GradientEstimate:
+    grad_sum, sq_sum, total_cost, n_fallback = sums
+    return GradientEstimate(
+        grad=grad_sum / n_outer,
+        n_outer=n_outer,
+        total_cost=total_cost,
+        per_sample_sq_norm_mean=sq_sum / n_outer,
+        n_fallback=n_fallback,
+    )
 
 
 def unbiased_gradient(
@@ -229,35 +307,19 @@ def unbiased_gradient(
     """
     if n_outer < 1:
         raise ContractViolationError("n_outer must be at least 1")
-    sizes = chunk_sizes(n_outer)
 
-    def work(i_n):
-        i, n = i_n
-        rng = stream(seed, phase, base_index + i)
-        return _gradient_chunk(
-            model, design, weights, proposal_factory, rng, n, antithetic
+    def chunk(rng, n):
+        levels = weights.sample_levels(rng, n)
+        delta, _, n_fallback = _chunk_variables(
+            model, design, proposal_factory, rng, levels, weights.m0,
+            antithetic=antithetic,
         )
+        contrib = delta / weights.weight(levels)[:, None]
+        cost = int(weights.inner_samples(levels).sum())
+        return contrib.sum(axis=0), (contrib**2).sum(axis=1).sum(), cost, n_fallback
 
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
-    grad_sum = np.zeros(model.d)
-    sq_sum = 0.0
-    total_cost = 0
-    for g, sq, cost in results:
-        grad_sum += g
-        sq_sum += sq
-        total_cost += cost
-    return GradientEstimate(
-        grad=grad_sum / n_outer,
-        n_outer=n_outer,
-        total_cost=total_cost,
-        per_sample_sq_norm_mean=sq_sum / n_outer,
-    )
+    sums = _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
+    return _gradient_estimate(n_outer, sums)
 
 
 def standard_gradient(
@@ -275,31 +337,13 @@ def standard_gradient(
     """Biased fixed-M nested MC gradient estimate, chunked like the MLMC one."""
     if n_outer < 1:
         raise ContractViolationError("n_outer must be at least 1")
-    sizes = chunk_sizes(n_outer)
 
-    def work(i_n):
-        i, n = i_n
-        rng = stream(seed, phase, base_index + i)
-        psi = psi_standard(model, design, n, m_inner, proposal_factory, rng)
-        return psi.sum(axis=0), (psi**2).sum(axis=1).sum(), n * m_inner
+    def chunk(rng, n):
+        levels = np.zeros(n, dtype=np.int64)
+        psi, _, n_fallback = _chunk_variables(
+            model, design, proposal_factory, rng, levels, m_inner
+        )
+        return psi.sum(axis=0), (psi**2).sum(axis=1).sum(), n * m_inner, n_fallback
 
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
-    grad_sum = np.zeros(model.d)
-    sq_sum = 0.0
-    total_cost = 0
-    for g, sq, cost in results:
-        grad_sum += g
-        sq_sum += sq
-        total_cost += cost
-    return GradientEstimate(
-        grad=grad_sum / n_outer,
-        n_outer=n_outer,
-        total_cost=total_cost,
-        per_sample_sq_norm_mean=sq_sum / n_outer,
-    )
+    sums = _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
+    return _gradient_estimate(n_outer, sums)

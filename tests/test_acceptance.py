@@ -89,6 +89,7 @@ def _closed_form_gradient_fd(xi: float, h: float = 1e-6) -> float:
     return (testcase_eig_closed(xi + h) - testcase_eig_closed(xi - h)) / (2 * h)
 
 
+@pytest.mark.slow
 def test_criterion_03_gradient_estimator_is_unbiased():
     model = TestCaseProblem()
     design = Design(np.array([1.5]))
@@ -128,6 +129,7 @@ def test_criterion_04_single_inner_sample_estimates_upper_bound_gradient():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_05_correction_variance_decay():
     model = TestCaseProblem()
     w = LevelWeights(tau=1.5)
@@ -161,6 +163,7 @@ def test_criterion_06_expected_cost_closed_forms():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_stochastic_ascent_converges():
     model = TestCaseProblem()
     w = LevelWeights(tau=1.5)
@@ -199,6 +202,7 @@ def test_criterion_07_stochastic_ascent_converges():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_pk_design_improves_information_gain():
     pk = PkProblem()
     w = LevelWeights(tau=1.5, w0_override=0.9)

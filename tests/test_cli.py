@@ -121,3 +121,30 @@ def test_pk_smoke_via_cli(tmp_path):
     summary = json.loads((tmp_path / "optimize.json").read_text())
     assert len(summary["final_design"]) == 15
     assert all(0.0 <= v <= 24.0 for v in summary["final_design"])
+
+
+@pytest.mark.parametrize("document", [
+    {"tau": [1]},
+    {"n_outer": 2.7},
+    {"seed": -1},
+    {"polyak": "no"},
+])
+def test_malformed_config_field_is_a_configuration_error(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"max_iters": 2, "eig_n_outer": 64, **document}))
+    rc = run_cli(["optimize", "--config", cfg_path, "--out", tmp_path])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
+    rc = run_cli(["optimize", "--seed", "-5", "--iters", "2", "--n-outer", "32",
+                  "--out", tmp_path])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not (tmp_path / "trace.csv").exists()
