@@ -22,19 +22,12 @@ from .errors import (
     NumericalDomainError,
 )
 from .gradient import (
-    CorrectionSample,
     GradientEstimate,
-    InnerBatch,
-    InnerRatio,
     correction_samples,
-    delta_psi_antithetic,
-    delta_psi_naive,
-    inner_ratio,
-    psi_standard,
     standard_gradient,
     unbiased_gradient,
 )
-from .levels import LevelWeights, expected_cost, sample_level
+from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .optim import (
     AmsGradState,
@@ -47,14 +40,7 @@ from .optim import (
     rm_step,
 )
 from .pk import PkParams, PkProblem, pk_mean_response
-from .proposals import (
-    LaplaceProposal,
-    LaplaceProposalFactory,
-    PriorProposalFactory,
-    laplace_fit,
-    laplace_fit_batch,
-    make_proposal_factory,
-)
+from .proposals import LaplaceProposalFactory, PriorProposalFactory, laplace_fit_batch
 from .testcase import TestCaseParams, TestCaseProblem, gain_g, gain_h
 
 __all__ = [
@@ -62,16 +48,12 @@ __all__ = [
     "BoxDomain",
     "ConfigurationError",
     "ContractViolationError",
-    "CorrectionSample",
     "DecayReport",
     "DecayRow",
     "Design",
     "DomainError",
     "EigEstimate",
     "GradientEstimate",
-    "InnerBatch",
-    "InnerRatio",
-    "LaplaceProposal",
     "LaplaceProposalFactory",
     "LevelWeights",
     "NumericalDomainError",
@@ -88,24 +70,16 @@ __all__ = [
     "correction_samples",
     "decay_study",
     "default_config",
-    "delta_psi_antithetic",
-    "delta_psi_naive",
     "eig_nested",
     "eig_unbiased_mlmc",
-    "expected_cost",
     "fit_beta",
     "gain_g",
     "gain_h",
-    "inner_ratio",
-    "laplace_fit",
     "laplace_fit_batch",
-    "make_proposal_factory",
     "optimize",
     "pk_mean_response",
     "project",
-    "psi_standard",
     "rm_step",
-    "sample_level",
     "standard_gradient",
     "testcase_eig_closed",
     "testcase_eig_upper",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -67,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config document")
         p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: MLMC_BOED_THREADS or CPU count)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1; more pay only on wide "
+                       "inner batches, e.g. eig --estimator stdmc --inner-m 256)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV/JSON artifacts")
         p.add_argument("--problem", choices=("testcase", "pk"))
@@ -89,15 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi0", type=_parse_floats,
                        help="initial design, comma-separated")
     return parser
-
-
-def resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MLMC_BOED_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def load_config(args) -> RunConfig:
@@ -287,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = resolve_threads(args)
+        if args.threads < 1:
+            raise ConfigurationError("--threads must be at least 1")
         cfg = load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
 
     handler = {"decay": cmd_decay, "optimize": cmd_optimize, "eig": cmd_eig}[args.command]
     try:
-        handler(cfg, out_dir, threads)
+        handler(cfg, out_dir, args.threads)
     except Exception as exc:
         category = "internal"
         for klass, name in _CATEGORY.items():

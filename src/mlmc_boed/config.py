@@ -11,6 +11,7 @@ override and Laplace proposals).
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,7 +23,7 @@ from .levels import LevelWeights
 from .model import Design
 from .optim import BoxDomain
 from .pk import PkProblem
-from .proposals import make_proposal_factory
+from .proposals import LaplaceProposalFactory, PriorProposalFactory
 from .testcase import XI_LOWER, TestCaseProblem
 
 PROBLEMS = ("testcase", "pk")
@@ -34,7 +35,8 @@ OPTIMIZERS = ("rm", "amsgrad")
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has type ``hint``, without coercion.
 
-    An int is a float; a bool is neither an int nor a float.
+    An int is a float; a bool is neither an int nor a float; NaN and the
+    infinities are not floats.
     """
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
@@ -43,7 +45,9 @@ def _conforms(value, hint) -> bool:
         return any(_conforms(value, h) for h in typing.get_args(hint))
     if hint in (int, float) and isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, hint)
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,13 @@ class RunConfig:
             raise ConfigurationError(f"unknown proposal {self.proposal!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("inner_m", "m0", "n_outer", "eig_every", "eig_n_outer",
-                     "samples_per_level"):
+        for name in ("inner_m", "n_outer", "eig_every", "eig_n_outer", "samples_per_level"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.max_iters < 0 or self.levels < 0 or self.seed < 0:
             raise ConfigurationError("max_iters, levels and seed must be nonnegative")
-        if self.tau <= 1.0:
-            raise ConfigurationError("tau must exceed 1")
-        if self.w0 is not None and not (0.0 < self.w0 <= 1.0):
-            raise ConfigurationError("w0 must lie in (0, 1]")
-        # Validate bound/initial-design shapes eagerly.
+        # Validate m0/tau/w0 and bound/initial-design shapes eagerly.
+        self.make_weights()
         self.make_design()
 
     # -- factories ---------------------------------------------------------
@@ -124,7 +124,7 @@ class RunConfig:
         return LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)
 
     def make_proposal_factory(self):
-        return make_proposal_factory(self.proposal)
+        return PriorProposalFactory() if self.proposal == "prior" else LaplaceProposalFactory()
 
     # -- serialization -----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Monte Carlo estimators for the gradient of the expected information gain.
 
-* :func:`psi_standard` -- the biased fixed-M nested MC gradient variable.
 * :func:`correction_samples` -- the multilevel correction variable at one
-  level, antithetic (two half-batches averaged) or naive (single half-batch).
+  level, antithetic (two half-batches averaged) or naive (single half-batch);
+  at level 0 with ``m0 = M`` it is the biased fixed-M nested MC variable.
 * :func:`unbiased_gradient` -- the randomized-level debiased estimator that
   averages ``delta_psi_l / w_l`` over outer samples.
+* :func:`standard_gradient` -- the biased fixed-M nested MC estimator.
 
 These, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk's draws happen per level group
@@ -26,27 +27,6 @@ from .errors import ContractViolationError
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import CHUNK_SIZE, PHASE_GRADIENT, chunk_sizes, stream
-
-
-@dataclass(frozen=True)
-class InnerBatch:
-    """Log importance weights and scores of one inner sample batch."""
-
-    log_weights: np.ndarray  # (M,): log rho + log pi0 - log q
-    scores: np.ndarray       # (M, d)
-
-
-@dataclass(frozen=True)
-class InnerRatio:
-    log_rho_bar: np.ndarray  # log of the importance-weighted likelihood average
-    ratio: np.ndarray        # gradient-sum / likelihood-sum, a convex combination
-
-
-@dataclass(frozen=True)
-class CorrectionSample:
-    delta: np.ndarray
-    level: int
-    cost: int
 
 
 @dataclass(frozen=True)
@@ -122,9 +102,10 @@ def _chunk_variables(
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), ``psi`` the fine-level psi
-    variable (``None`` unless ``with_psi``).  One likelihood call (``loglik``
-    if not ``scored``) uses the ``(n, M)`` shape when all samples share one
-    ``M``, else the ``(N, 1)`` shape with outer rows repeated.
+    variable (``None`` unless ``with_psi``).  One ``loglik_score`` call uses
+    the ``(n, M)`` shape when all samples share one ``M``, else the ``(N, 1)``
+    shape with outer rows repeated; without ``scored`` its scores are dropped
+    and the variables are log mean likelihoods.
     """
     lv, counts = np.unique(levels, return_counts=True)
     m = m0 * 2**lv
@@ -145,18 +126,16 @@ def _chunk_variables(
         inners.append(theta_in)
         corrs.append(corr.ravel())
 
-    lik = model.loglik_score if scored else model.loglik
     if len(inners) == 1:
-        out = lik(design, thetas[0], epss[0], inners[0])
+        log_rho, scores = model.loglik_score(design, thetas[0], epss[0], inners[0])
     else:
         rep = np.repeat(m + has_self, counts)
         theta_in = np.concatenate([t.reshape(-1, model.s) for t in inners])
-        out = lik(design, np.repeat(np.concatenate(thetas), rep, axis=0),
-                  np.repeat(np.concatenate(epss), rep, axis=0), theta_in[:, None, :])
-    log_rho, scores = out if scored else (out, None)
+        log_rho, scores = model.loglik_score(
+            design, np.repeat(np.concatenate(thetas), rep, axis=0),
+            np.repeat(np.concatenate(epss), rep, axis=0), theta_in[:, None, :])
     log_w = log_rho.ravel() + np.concatenate(corrs)
-    if scored:
-        scores = scores.reshape(log_w.size, -1)
+    scores = scores.reshape(log_w.size, -1) if scored else None
 
     delta, psi = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
     # Back from group order to the order of ``levels``.
@@ -189,19 +168,6 @@ def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK
 # gradient variables
 
 
-def inner_ratio(batch: InnerBatch) -> InnerRatio:
-    """Self-normalized inner average for a single outer sample."""
-    log_w = np.atleast_1d(np.asarray(batch.log_weights, dtype=float))
-    if log_w.size == 0:
-        raise ContractViolationError("inner batch must contain at least one sample")
-    scores = np.asarray(batch.scores, dtype=float).reshape(log_w.shape[0], -1)
-    top, den, num = _segment_sums(log_w, scores, np.zeros(1, dtype=np.intp))
-    return InnerRatio(
-        log_rho_bar=top[0] + np.log(den[0]) - np.log(log_w.size),
-        ratio=num[0] / den[0],
-    )
-
-
 def delta_from_inner(log_w, scores, level: int, *, self_score=None, antithetic=True):
     """Correction variable from precomputed inner weights/scores.
 
@@ -221,20 +187,6 @@ def delta_from_inner(log_w, scores, level: int, *, self_score=None, antithetic=T
     return delta
 
 
-def _inner_weights(model, design, proposal_factory, theta, eps, y, m, rng):
-    """Log importance weights and scores of ``m`` inner samples per outer one."""
-    fitted = proposal_factory.fit(model, design, theta, eps, y)
-    theta_in, corr = fitted.sample_inner(rng, m)
-    log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
-    return log_rho + corr, scores, fitted
-
-
-def psi_standard(model, design, n_outer, m_inner, proposal_factory, rng):
-    """``n_outer`` i.i.d. draws of the biased fixed-M gradient variable, (n, d)."""
-    levels = np.zeros(n_outer, dtype=np.int64)
-    return _chunk_variables(model, design, proposal_factory, rng, levels, m_inner)[0]
-
-
 def correction_samples(
     model, design, level, weights: LevelWeights, proposal_factory, rng,
     n_outer=1, *, antithetic=True, with_psi_fine=False,
@@ -252,22 +204,6 @@ def correction_samples(
         antithetic=antithetic, with_psi=with_psi_fine,
     )
     return (delta, psi) if with_psi_fine else delta
-
-
-def delta_psi_antithetic(model, design, level, weights, proposal_factory, rng):
-    """One antithetic correction draw as a :class:`CorrectionSample`."""
-    delta = correction_samples(
-        model, design, level, weights, proposal_factory, rng, 1, antithetic=True
-    )
-    return CorrectionSample(delta=delta[0], level=level, cost=int(weights.inner_samples(level)))
-
-
-def delta_psi_naive(model, design, level, weights, proposal_factory, rng):
-    """One naive (single coarse half) correction draw."""
-    delta = correction_samples(
-        model, design, level, weights, proposal_factory, rng, 1, antithetic=False
-    )
-    return CorrectionSample(delta=delta[0], level=level, cost=int(weights.inner_samples(level)))
 
 
 # ---------------------------------------------------------------------------

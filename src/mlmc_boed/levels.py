@@ -79,10 +79,3 @@ class LevelWeights:
             raise RuntimeError(f"sampled level beyond {MAX_LEVEL}; check weights")
         return levels
 
-
-def expected_cost(weights: LevelWeights) -> float:
-    return weights.expected_cost()
-
-
-def sample_level(weights: LevelWeights, rng: np.random.Generator) -> int:
-    return int(weights.sample_levels(rng, 1)[0])

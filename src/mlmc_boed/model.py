@@ -124,10 +124,6 @@ class ProblemModel:
         """
         raise NotImplementedError
 
-    def loglik(self, design, theta, eps, theta_inner) -> np.ndarray:
-        """Log-likelihood only (no score); default delegates to loglik_score."""
-        return self.loglik_score(design, theta, eps, theta_inner)[0]
-
     # -- conveniences -----------------------------------------------------
     def self_loglik_score(self, design: Design, theta: np.ndarray, eps: np.ndarray):
         """``(log rho, score)`` at ``theta_inner = theta``, shapes ``(n,), (n, d)``."""

@@ -13,7 +13,11 @@ and each observation mixes multiplicative and additive Gaussian noise:
 
 The per-time likelihood is the full normal density
 ``N(y_j; gbar_j(theta'), gbar_j(theta')^2 sigma1^2 + sigma2^2)`` including the
-theta'-dependent normalizer.
+theta'-dependent normalizer.  It has one implementation,
+:meth:`PkProblem.loglik_score`, which returns the log-density together with
+its design score; :func:`pk_mean_response` is the one evaluation of the mean
+response and its derivatives behind the simulator, the likelihood and the
+Laplace fit.
 
 The removable singularity at ``k_a = k_e`` is handled by evaluating the
 exponential divided difference through ``sinh(x)/x``, which is smooth through
@@ -131,19 +135,16 @@ def _phi_derivs(u, w, T, second: bool):
     return tuple(o.reshape(shape) for o in out)
 
 
-def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0):
+def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
+                     second: bool = True):
     """Mean concentration and its derivatives at each sampling time.
 
     ``theta`` has shape ``(..., 3)`` in log-parameters; ``times`` has shape
     ``(k,)``.  Returns ``(value, d_time, grad_theta, hess_theta)`` with shapes
     ``(..., k)``, ``(..., k)``, ``(..., k, 3)`` and ``(..., k, 3, 3)``; all
-    theta-derivatives are taken with respect to the log-parameters.
+    theta-derivatives are taken with respect to the log-parameters.  Without
+    ``second`` the Hessian is not formed and ``None`` is returned in its place.
     """
-    value, d_time, grad, hess = _pk_response(theta, times, dose, second=True)
-    return value, d_time, grad, hess
-
-
-def _pk_response(theta, times, dose, second: bool):
     theta = np.asarray(theta, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -235,17 +236,17 @@ class PkProblem(ProblemModel):
     def simulate(self, design, theta, eps):
         self._check_dims(design, theta, eps)
         e1, e2 = self._split_noise(eps)
-        gbar, _, _, _ = _pk_response(theta, design.values, self.params.dose, second=False)
+        gbar, _, _, _ = pk_mean_response(theta, design.values, self.params.dose, second=False)
         return gbar * (1.0 + e1) + e2
 
     def loglik_score(self, design, theta, eps, theta_inner):
         self._check_dims(design, theta, eps)
         p = self.params
         e1, e2 = self._split_noise(eps)
-        gbar_out, dT_out, _, _ = _pk_response(theta, design.values, p.dose, second=False)
+        gbar_out, dT_out, _, _ = pk_mean_response(theta, design.values, p.dose, second=False)
         y = gbar_out * (1.0 + e1) + e2                     # (n, 15)
         dy = dT_out * (1.0 + e1)                           # d y_j / d xi_j
-        gbar_in, dT_in, _, _ = _pk_response(theta_inner, design.values, p.dose, second=False)
+        gbar_in, dT_in, _, _ = pk_mean_response(theta_inner, design.values, p.dose, second=False)
         var = p.sigma1_sq * gbar_in**2 + p.sigma2_sq       # (n, M, 15)
         r = y[:, None, :] - gbar_in
         log_rho = (-0.5 * (LOG_2PI + np.log(var)) - r**2 / (2 * var)).sum(axis=-1)
@@ -264,21 +265,9 @@ class PkProblem(ProblemModel):
     # -- Laplace-fit hooks ----------------------------------------------------
     def observation_derivs(self, design, theta, second: bool):
         """Mean observation and its latent-derivatives, ``(value, grad, hess)``."""
-        value, _, grad, hess = _pk_response(theta, design.values, self.params.dose, second)
+        value, _, grad, hess = pk_mean_response(theta, design.values, self.params.dose, second)
         return value, grad, hess
 
     def observation_variance(self, value):
         """Per-component observation variance as a function of the mean."""
         return self.params.sigma1_sq * value**2 + self.params.sigma2_sq
-
-    def loglik(self, design, theta, eps, theta_inner):
-        # Score-free path: skips the time-derivative work.
-        self._check_dims(design, theta, eps)
-        p = self.params
-        e1, e2 = self._split_noise(eps)
-        gbar_out, _, _, _ = _pk_response(theta, design.values, p.dose, second=False)
-        y = gbar_out * (1.0 + e1) + e2
-        gbar_in, _, _, _ = _pk_response(theta_inner, design.values, p.dose, second=False)
-        var = p.sigma1_sq * gbar_in**2 + p.sigma2_sq
-        r = y[:, None, :] - gbar_in
-        return (-0.5 * (LOG_2PI + np.log(var)) - r**2 / (2 * var)).sum(axis=-1)

@@ -18,12 +18,9 @@ the event is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Design, ProblemModel
-from .pk import PkProblem
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -101,14 +98,7 @@ class LaplaceProposalFactory:
         chols = np.broadcast_to(np.eye(model.s), covs.shape).copy()
         ok = ~fallback
         if np.any(ok):
-            try:
-                chols[ok] = np.linalg.cholesky(covs[ok])
-            except np.linalg.LinAlgError:
-                for i in np.flatnonzero(ok):
-                    try:
-                        chols[i] = np.linalg.cholesky(covs[i])
-                    except np.linalg.LinAlgError:
-                        fallback[i] = True
+            chols[ok], fallback[ok] = _per_row(np.linalg.cholesky, chols[ok], covs[ok])
         return FittedGaussian(model, means, chols, fallback)
 
 
@@ -116,46 +106,24 @@ class LaplaceProposalFactory:
 # Laplace fit
 
 
-@dataclass(frozen=True)
-class LaplaceProposal:
-    """Single-sample Gaussian posterior approximation."""
+def _per_row(op, fill, mats, *rest):
+    """``op`` over a batch of matrices, with a per-row failure mask.
 
-    mean: np.ndarray
-    cov: np.ndarray
-    chol: np.ndarray
-    fallback: bool = False
-
-
-def _solve_sym(mats, rhs):
-    """Batched symmetric solve with a per-row fallback mask on failure."""
-    n = mats.shape[0]
-    out = np.zeros_like(rhs)
-    bad = np.zeros(n, dtype=bool)
+    If the batched call raises ``LinAlgError``, each row is retried alone;
+    a row that still fails keeps its ``fill`` value.  Returns ``(out, bad)``
+    where ``bad`` marks failed rows and rows with non-finite entries.
+    """
+    bad = np.zeros(mats.shape[0], dtype=bool)
     try:
-        out = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        out = op(mats, *rest)
     except np.linalg.LinAlgError:
-        for i in range(n):
+        out = fill.copy()
+        for i in range(mats.shape[0]):
             try:
-                out[i] = np.linalg.solve(mats[i], rhs[i])
+                out[i] = op(mats[i], *(r[i] for r in rest))
             except np.linalg.LinAlgError:
                 bad[i] = True
-    bad |= ~np.all(np.isfinite(out), axis=-1)
-    return out, bad
-
-
-def _inv_sym(mats):
-    n = mats.shape[0]
-    bad = np.zeros(n, dtype=bool)
-    out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
-    try:
-        out = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        for i in range(n):
-            try:
-                out[i] = np.linalg.inv(mats[i])
-            except np.linalg.LinAlgError:
-                bad[i] = True
-    bad |= ~np.all(np.isfinite(out), axis=(-2, -1))
+    bad |= ~np.isfinite(out).reshape(bad.size, -1).all(axis=1)
     return out, bad
 
 
@@ -180,7 +148,8 @@ def laplace_fit_batch(model, design: Design, theta_star, y):
     Hterm = np.einsum("ntjk,nt->njk", H, E / s_eps)
     A = JtSinvJ + Hterm - prior_hess
     b = np.einsum("ntj,nt->nj", J, E / s_eps)
-    delta, bad = _solve_sym(A, b)
+    delta, bad = _per_row(np.linalg.solve, np.zeros(b.shape + (1,)), A, b[..., None])
+    delta = delta[..., 0]
     means = theta_star - delta
     means[bad] = theta_star[bad]
 
@@ -189,24 +158,6 @@ def laplace_fit_batch(model, design: Design, theta_star, y):
     s_hat = model.observation_variance(gbar_hat)
     _, _, prior_hess_hat = model.prior_logpdf_derivs(means)
     prec = np.einsum("ntj,nt,ntk->njk", J_hat, 1.0 / s_hat, J_hat) - prior_hess_hat
-    covs, bad_inv = _inv_sym(prec)
+    covs, bad_inv = _per_row(np.linalg.inv, np.broadcast_to(np.eye(model.s), prec.shape), prec)
     fallback = bad | bad_inv
     return means, covs, fallback
-
-
-def laplace_fit(design: Design, theta_star, y, pk: PkProblem) -> LaplaceProposal:
-    """Single-sample Laplace fit (see :func:`laplace_fit_batch`)."""
-    means, covs, fb = laplace_fit_batch(
-        pk, design, np.asarray(theta_star)[None, :], np.asarray(y)[None, :]
-    )
-    if fb[0]:
-        raise np.linalg.LinAlgError("Laplace fit failed positive-definiteness")
-    return LaplaceProposal(mean=means[0], cov=covs[0], chol=np.linalg.cholesky(covs[0]))
-
-
-def make_proposal_factory(name: str):
-    if name == "prior":
-        return PriorProposalFactory()
-    if name == "laplace":
-        return LaplaceProposalFactory()
-    raise ValueError(f"unknown proposal family: {name!r}")

@@ -28,7 +28,7 @@ def _inner(model, design, factory, theta, eps, y, m, rng, scored):
     if scored:
         log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
         return log_rho + corr, scores, fitted.n_fallback
-    return model.loglik(design, theta, eps, theta_in) + corr, None, fitted.n_fallback
+    return model.loglik_score(design, theta, eps, theta_in)[0] + corr, None, fitted.n_fallback
 
 
 def correction_samples(model, design, level, m, factory, rng, n, antithetic=True):
@@ -55,7 +55,7 @@ def eig_samples(model, design, level, m, factory, rng, n):
     theta, eps, y = _draw_outer(model, design, n, rng)
     log_w, _, n_fb = _inner(model, design, factory, theta, eps, y, m, rng, False)
     if level == 0:
-        self_ll = model.loglik(design, theta, eps, theta[:, None, :])[:, 0]
+        self_ll = model.loglik_score(design, theta, eps, theta[:, None, :])[0][:, 0]
         return self_ll - (logsumexp(log_w, axis=-1) - log(m)), n_fb
     half = m // 2
     lse_f = logsumexp(log_w, axis=-1)

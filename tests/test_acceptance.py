@@ -28,8 +28,9 @@ from mlmc_boed import (
     testcase_optimal_design,
     unbiased_gradient,
 )
+from loop_reference import _inner
 from mlmc_boed.cli import main as cli_main
-from mlmc_boed.gradient import _draw_outer, _inner_weights
+from mlmc_boed.gradient import _draw_outer
 from mlmc_boed.rng import PHASE_OPTIMIZE, stream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -54,9 +55,7 @@ def _max_antithetic_violation(model, design, factory, seed, n_per_level):
         m = 2**lvl
         rng = stream(seed, 99, lvl)
         theta, eps, y = _draw_outer(model, design, n_per_level, rng)
-        log_w, scores, _ = _inner_weights(
-            model, design, factory, theta, eps, y, m, rng
-        )
+        log_w, scores, _ = _inner(model, design, factory, theta, eps, y, m, rng, True)
         shift = log_w.max(axis=-1, keepdims=True)
         lin = np.exp(log_w - shift)
         den_f = lin.sum(axis=-1)

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,13 +109,6 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err["error"] == "configuration"
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("MLMC_BOED_THREADS", "3")
-    rc = run_cli(["eig", "--problem", "testcase", "--n-outer", "500",
-                  "--seed", "4", "--out", tmp_path])
-    assert rc == 0
-
-
 @pytest.mark.slow
 def test_pk_smoke_via_cli(tmp_path):
     rc = run_cli(["optimize", "--problem", "pk", "--iters", "20",
@@ -128,6 +125,8 @@ def test_pk_smoke_via_cli(tmp_path):
     {"n_outer": 2.7},
     {"seed": -1},
     {"polyak": "no"},
+    {"tau": float("nan")},
+    {"rm_c": float("inf"), "n_outer": 64},
 ])
 def test_malformed_config_field_is_a_configuration_error(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
@@ -148,3 +147,24 @@ def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "configuration"
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_zero_threads_is_a_configuration_error(tmp_path, capsys):
+    rc = run_cli(["eig", "--threads", "0", "--n-outer", "32", "--out", tmp_path])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not (tmp_path / "eig.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_and_exports_resolve():
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, mlmc_boed, mlmc_boed.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+            "missing = [n for n in mlmc_boed.__all__ if not hasattr(mlmc_boed, n)]\n"
+            "assert not missing, missing\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr

@@ -11,9 +11,6 @@ from mlmc_boed import (
     ProblemModel,
     TestCaseProblem,
     correction_samples,
-    delta_psi_antithetic,
-    delta_psi_naive,
-    psi_standard,
     standard_gradient,
     unbiased_gradient,
 )
@@ -49,7 +46,8 @@ def test_flat_likelihood_gives_zero_gradient_variable():
     model = FlatLikelihoodModel()
     design = Design(np.array([2.0]))
     rng = np.random.default_rng(0)
-    psi = psi_standard(model, design, 64, 8, PriorProposalFactory(), rng)
+    # Level 0 with m0 = 8 is the fixed-M nested variable with M = 8.
+    psi = correction_samples(model, design, 0, LevelWeights(m0=8), PriorProposalFactory(), rng, 64)
     assert np.allclose(psi, 0.0, atol=1e-14)
     delta = correction_samples(
         model, design, 3, LevelWeights(tau=1.5), PriorProposalFactory(), rng, 16
@@ -126,17 +124,6 @@ def test_correction_telescopes_the_fine_variable():
     )
     assert delta.shape == psi_fine.shape == (32, 1)
     assert np.all(np.isfinite(delta))
-
-
-def test_single_draw_wrappers_report_cost():
-    model = TestCaseProblem()
-    design = Design(np.array([1.5]))
-    w = LevelWeights(m0=2, tau=1.5)
-    rng = np.random.default_rng(5)
-    s_anti = delta_psi_antithetic(model, design, 3, w, PriorProposalFactory(), rng)
-    s_naive = delta_psi_naive(model, design, 3, w, PriorProposalFactory(), rng)
-    assert s_anti.cost == s_naive.cost == 16
-    assert s_anti.level == 3
 
 
 def test_unbiased_gradient_deterministic_across_threads():

@@ -8,7 +8,6 @@ from mlmc_boed import (
     LaplaceProposalFactory,
     PkProblem,
     ProblemModel,
-    laplace_fit,
     laplace_fit_batch,
 )
 
@@ -145,9 +144,11 @@ def test_single_sample_wrapper():
     theta = pk.sample_prior(rng, 1)[0]
     eps = pk.sample_noise(rng, 1)
     y = pk.simulate(design, theta[None, :], eps)[0]
-    fit = laplace_fit(design, theta, y, pk)
-    assert fit.mean.shape == (3,)
-    assert np.allclose(fit.chol @ fit.chol.T, fit.cov, atol=1e-12)
+    means, covs, fallback = laplace_fit_batch(pk, design, theta[None, :], y[None, :])
+    fitted = LaplaceProposalFactory().fit(pk, design, theta[None, :], eps, y[None, :])
+    assert not fallback[0] and fitted.n_fallback == 0
+    assert means[0].shape == (3,)
+    assert np.allclose(fitted.chols[0] @ fitted.chols[0].T, covs[0], atol=1e-12)
 
 
 def test_fitted_gaussian_proposal_density_and_moments():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlmc_boed import ConfigurationError, LevelWeights, expected_cost, sample_level
+from mlmc_boed import ConfigurationError, LevelWeights
 
 
 def test_weights_sum_to_one():
@@ -33,10 +33,10 @@ def test_inner_samples_double_per_level():
 
 
 def test_expected_cost_closed_forms():
-    assert expected_cost(LevelWeights(m0=1, tau=1.5)) == pytest.approx(2.21, abs=5e-3)
-    assert expected_cost(
-        LevelWeights(m0=1, tau=1.5, w0_override=0.9)
-    ) == pytest.approx(1.34, abs=5e-3)
+    assert LevelWeights(m0=1, tau=1.5).expected_cost() == pytest.approx(2.21, abs=5e-3)
+    assert LevelWeights(
+        m0=1, tau=1.5, w0_override=0.9
+    ).expected_cost() == pytest.approx(1.34, abs=5e-3)
 
 
 def test_expected_cost_matches_direct_sum():
@@ -71,13 +71,6 @@ def test_degenerate_override_always_level_zero():
     rng = np.random.default_rng(2)
     assert np.all(w.sample_levels(rng, 10_000) == 0)
     assert w.expected_cost() == pytest.approx(1.0)
-
-
-def test_single_draw_wrapper():
-    w = LevelWeights(tau=1.5)
-    rng = np.random.default_rng(3)
-    lvl = sample_level(w, rng)
-    assert isinstance(lvl, int) and lvl >= 0
 
 
 def test_invalid_parameters_rejected():

@@ -120,23 +120,12 @@ def test_loglik_matches_normal_density(model):
     inner = model.sample_prior(rng, 8).reshape(4, 2, 3)
     design = model.default_design()
     y = model.simulate(design, theta, eps)
-    log_rho = model.loglik(design, theta, eps, inner)
+    log_rho, _ = model.loglik_score(design, theta, eps, inner)
     p = model.params
     gbar_in, _, _, _ = pk_mean_response(inner, design.values)
     sd = np.sqrt(p.sigma1_sq * gbar_in**2 + p.sigma2_sq)
     ref = norm.logpdf(y[:, None, :], loc=gbar_in, scale=sd).sum(axis=-1)
     assert np.allclose(log_rho, ref, rtol=1e-12)
-
-
-def test_loglik_and_scored_path_agree(model):
-    rng = np.random.default_rng(4)
-    theta = model.sample_prior(rng, 4)
-    eps = model.sample_noise(rng, 4)
-    inner = model.sample_prior(rng, 12).reshape(4, 3, 3)
-    design = model.default_design()
-    lr1 = model.loglik(design, theta, eps, inner)
-    lr2, _ = model.loglik_score(design, theta, eps, inner)
-    assert np.array_equal(lr1, lr2)
 
 
 def test_score_matches_finite_difference_per_time(model):
@@ -151,8 +140,8 @@ def test_score_matches_finite_difference_per_time(model):
         vp, vm = design.values.copy(), design.values.copy()
         vp[j] += e
         vm[j] -= e
-        lp = model.loglik(design.replace(vp), theta, eps, inner)
-        lm = model.loglik(design.replace(vm), theta, eps, inner)
+        lp, _ = model.loglik_score(design.replace(vp), theta, eps, inner)
+        lm, _ = model.loglik_score(design.replace(vm), theta, eps, inner)
         assert np.allclose(score[..., j], (lp - lm) / (2 * e), rtol=1e-4, atol=1e-7)
 
 
