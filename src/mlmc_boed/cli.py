@@ -136,7 +136,7 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     report = decay_study(
         model, design, cfg.levels, cfg.samples_per_level, cfg.make_weights(),
         cfg.make_proposal_factory(), cfg.seed,
-        antithetic=(cfg.estimator != "mlmc-naive"),
+        antithetic=(cfg.estimator != "mlmc-naive"), threads=threads,
     )
     csv_path = out_dir / "decay.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

@@ -94,8 +94,10 @@ class RunConfig:
         for name in ("inner_m", "n_outer", "eig_every", "eig_n_outer", "samples_per_level"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
-        if self.max_iters < 0 or self.levels < 0 or self.seed < 0:
-            raise ConfigurationError("max_iters, levels and seed must be nonnegative")
+        if self.max_iters < 0 or self.seed < 0:
+            raise ConfigurationError("max_iters and seed must be nonnegative")
+        if self.levels < 2:
+            raise ConfigurationError("levels must be at least 2 (beta_hat needs two levels)")
         # Validate m0/tau/w0 and bound/initial-design shapes eagerly.
         self.make_weights()
         self.make_design()
@@ -108,6 +110,12 @@ class RunConfig:
     def make_design(self) -> Design:
         model = self.make_model()
         base = model.default_design()
+        for name in ("xi0", "lower", "upper"):
+            given = getattr(self, name)
+            if given and len(given) != model.d:
+                raise ConfigurationError(
+                    f"{name} has {len(given)} components; the {self.problem} design has {model.d}"
+                )
         lower = np.asarray(self.lower, dtype=float) if self.lower else base.lower
         upper = np.asarray(self.upper, dtype=float) if self.upper else base.upper
         values = np.asarray(self.xi0, dtype=float) if self.xi0 else base.values

@@ -58,8 +58,13 @@ def decay_study(
     *,
     antithetic: bool = True,
     fit_range: tuple[int, int] | None = None,
+    threads: int = 1,
 ) -> DecayReport:
-    """Empirical mean squares of psi_{M_l} and delta_psi_l for l = 0..levels-1."""
+    """Empirical mean squares of psi_{M_l} and delta_psi_l for l = 0..levels-1.
+
+    The rows do not depend on ``threads``; it sets how many chunks of one
+    level run at once.
+    """
     if levels < 2:
         raise ContractViolationError("decay study needs at least 2 levels")
 
@@ -74,7 +79,7 @@ def decay_study(
         # Chunk the outer samples so high levels stay within memory.
         cap = max(1, 2**22 // int(weights.inner_samples(lvl)))
         sq_delta, sq_psi, done = _run_chunks(
-            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, 1, chunk, chunk=cap
+            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, threads, chunk, chunk=cap
         )
         return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
 

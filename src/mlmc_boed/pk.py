@@ -19,9 +19,14 @@ its design score; :func:`pk_mean_response` is the one evaluation of the mean
 response and its derivatives behind the simulator, the likelihood and the
 Laplace fit.
 
-The removable singularity at ``k_a = k_e`` is handled by evaluating the
-exponential divided difference through ``sinh(x)/x``, which is smooth through
-``x = 0``; no special-case branch on ``|k_a - k_e|`` is needed.
+The response is ``D k_a / V`` times the divided difference
+``phi = (exp(-k_e T) - exp(-k_a T)) / (k_a - k_e)``, and every derivative of
+phi is a further divided difference of the same two exponentials.  Both lie
+in (0, 1], so nothing overflows, and the two are the only exponentials most
+entries need.  Where ``|x| < 0.5`` with ``x = (k_a - k_e) T / 2`` the
+differences would cancel; there, and through the removable singularity at
+``k_a = k_e``, ``phi = T exp(-(k_a + k_e) T / 2) sinh(x)/x`` with
+``sinh(x)/x`` and its derivatives from their power series.
 """
 
 from __future__ import annotations
@@ -52,87 +57,122 @@ class PkParams:
             raise DomainError("dose and variances must be positive")
 
 
-def _sinhc_series(x_sq):
-    """sinh(x)/x and its first two derivatives in x, via even power series.
-
-    Accurate for ``x^2 <= 0.25``; the truncation error of the degree-10
-    series is below 1e-18 there.
-    """
-    # sinh(x)/x = sum x^{2n}/(2n+1)!
-    coeff = [1.0, 1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0]
-    s = sum(c * x_sq**n for n, c in enumerate(coeff))
-    # S'(x)/x = sum 2n x^{2n-2}/(2n+1)!  (we return S' as x * that)
-    s1_over_x = sum(2 * n * c * x_sq ** (n - 1) for n, c in enumerate(coeff) if n >= 1)
-    s2 = sum(2 * n * (2 * n - 1) * c * x_sq ** (n - 1) for n, c in enumerate(coeff) if n >= 1)
-    return s, s1_over_x, s2
+# sinh(x)/x = sum_n x^(2n) / (2n+1)!; through degree 10 the truncation error
+# is below 1e-18 for x^2 <= 0.25.  _SINHC_D1 holds the series of S'(x)/x and
+# _SINHC_D2 that of S''(x), both in powers of x^2.
+_SINHC = (1.0, 1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0)
+_SINHC_D1 = tuple(2 * n * c for n, c in enumerate(_SINHC) if n >= 1)
+_SINHC_D2 = tuple(2 * n * (2 * n - 1) * c for n, c in enumerate(_SINHC) if n >= 1)
 
 
-def _phi_derivs(u, w, T, second: bool):
+def _horner(coeff, y):
+    acc = coeff[-1]
+    for c in coeff[-2::-1]:
+        acc = acc * y + c
+    return acc
+
+
+def _phi_derivs(u, w, T, order: int):
     """Scaled divided difference phi = (exp(-wT) - exp(-uT)) / (u - w) and derivatives.
 
-    Returns ``(phi, phi_u, phi_w, phi_T)`` and, when ``second`` is true,
-    additionally ``(phi_uu, phi_ww, phi_uw)``.  All inputs broadcast.
-    Stable uniformly in ``u - w``, including the confluent case ``u == w``.
+    Returns ``(phi, phi_T)`` for ``order`` 0, ``(phi, phi_u, phi_w, phi_T)``
+    for ``order`` 1, and for ``order`` 2 additionally
+    ``(phi_uu, phi_ww, phi_uw)``.  ``u``, ``w`` and ``T`` are arrays that
+    broadcast together, with ``u, w > 0`` and ``T >= 0``.  Stable uniformly
+    in ``u - w``, including the confluent case ``u == w``.
+
+    Work is done in place where it can be: every fresh full-size array costs
+    page faults once the allocator has returned the previous call's memory.
     """
-    u, w, T = np.broadcast_arrays(*np.atleast_1d(u, w, T))
-    shape = u.shape
-    u, w, T = u.ravel(), w.ravel(), T.ravel()
-    x = 0.5 * (u - w) * T
-    m = 0.5 * (u + w)
+    uT, wT = u * T, w * T
+    eu = np.negative(uT)
+    np.exp(eu, out=eu)
+    ew = np.negative(wT)
+    np.exp(ew, out=ew)
+    dT = (u - w) * T                       # 2x, with x = (u - w) T / 2
+    # Inside the band |x| < 0.5 the divided differences below cancel badly,
+    # and the series in x replaces them.  Elsewhere they lose a few bits at
+    # most, and exp(-uT), exp(-wT) <= 1 cannot overflow.
+    idx = np.nonzero(np.abs(dT) < 1.0)
+    xb, mTb = 0.5 * dT[idx], 0.5 * (uT[idx] + wT[idx])
+    dT[idx] = 1.0
+    s = np.reciprocal(dT, out=dT)
 
-    out = [np.empty_like(x) for _ in range(7 if second else 4)]
+    # Each derivative is a power of T times a dimensionless factor: phi = T p,
+    # phi_T = p_T, phi_u = T^2 p_u, phi_w = T^2 p_w, phi_uu = T^3 p_uu, ...
+    p_T = uT                               # (uT eu - wT ew) / dT
+    p_T *= eu
+    wT *= ew
+    p_T -= wT
+    p_T *= s
+    p = np.subtract(ew, eu, out=wT)        # (ew - eu) / dT
+    p *= s
+    if order >= 1:
+        p_u = eu - p
+        p_u *= s
+        p_w = p - ew
+        p_w *= s
+    if order == 2:
+        p_uu, p_ww = eu, ew                # -(eu + 2 p_u) / dT, (ew + 2 p_w) / dT
+        p_uu += p_u
+        p_uu += p_u
+        p_uu *= s
+        np.negative(p_uu, out=p_uu)
+        p_ww += p_w
+        p_ww += p_w
+        p_ww *= s
+        p_uw = p_u - p_w                   # (p_u - p_w) / dT
+        p_uw *= s
 
-    # Large separation: the naive formulas are cancellation-free and avoid
-    # sinh overflow.
-    big = np.abs(x) > 300.0
-    if np.any(big):
-        ub, wb, Tb = u[big], w[big], T[big]
-        eu, ew, duw = np.exp(-ub * Tb), np.exp(-wb * Tb), ub - wb
-        phi = (ew - eu) / duw
-        phi_u = (Tb * eu - phi) / duw
-        phi_w = (phi - Tb * ew) / duw
-        phi_T = (ub * eu - wb * ew) / duw
-        vals = [phi, phi_u, phi_w, phi_T]
-        if second:
-            vals += [
-                (-(Tb**2) * eu - 2 * phi_u) / duw,
-                (Tb**2 * ew + 2 * phi_w) / duw,
-                (phi_u - phi_w) / duw,
-            ]
-        for o, v in zip(out, vals):
-            o[big] = v
+    if xb.size:
+        # phi = T E S(x), with E = exp(-(u + w) T / 2) and S(x) = sinh(x)/x.
+        y = xb * xb
+        S, S1 = _horner(_SINHC, y), xb * _horner(_SINHC_D1, y)
+        E = np.exp(-mTb)
+        p[idx] = E * S
+        p_T[idx] = E * (S * (1.0 - mTb) + xb * S1)
+        if order >= 1:
+            p_u[idx] = 0.5 * E * (S1 - S)
+            p_w[idx] = -0.5 * E * (S1 + S)
+        if order == 2:
+            S2, q = _horner(_SINHC_D2, y), 0.25 * E
+            p_uu[idx] = q * (S2 - 2 * S1 + S)
+            p_ww[idx] = q * (S2 + 2 * S1 + S)
+            p_uw[idx] = q * (S - S2)
 
-    sm = ~big
-    if np.any(sm):
-        xs, ms, Ts = x[sm], m[sm], T[sm]
-        tiny = np.abs(xs) < 0.5
-        S = np.empty_like(xs)
-        S1 = np.empty_like(xs)
-        S2 = np.empty_like(xs)
-        if np.any(tiny):
-            s, s1_over_x, s2 = _sinhc_series(xs[tiny] ** 2)
-            S[tiny] = s
-            S1[tiny] = xs[tiny] * s1_over_x
-            S2[tiny] = s2
-        if np.any(~tiny):
-            xb = xs[~tiny]
-            sh, ch = np.sinh(xb), np.cosh(xb)
-            S[~tiny] = sh / xb
-            S1[~tiny] = (ch - sh / xb) / xb
-            S2[~tiny] = (sh - 2 * (ch - sh / xb) / xb) / xb
-        E = np.exp(-ms * Ts)
-        phi = Ts * E * S
-        phi_u = 0.5 * Ts**2 * E * (S1 - S)
-        phi_w = -0.5 * Ts**2 * E * (S1 + S)
-        phi_T = E * (S * (1.0 - ms * Ts) + xs * S1)
-        vals = [phi, phi_u, phi_w, phi_T]
-        if second:
-            q = 0.25 * Ts**3 * E
-            vals += [q * (S2 - 2 * S1 + S), q * (S2 + 2 * S1 + S), q * (S - S2)]
-        for o, v in zip(out, vals):
-            o[sm] = v
+    p *= T
+    if order == 0:
+        return p, p_T
+    T2 = T * T
+    p_u *= T2
+    p_w *= T2
+    if order == 1:
+        return p, p_u, p_w, p_T
+    T3 = T2 * T
+    p_uu *= T3
+    p_ww *= T3
+    p_uw *= T3
+    return p, p_u, p_w, p_T, p_uu, p_ww, p_uw
 
-    return tuple(o.reshape(shape) for o in out)
+
+def _rates(theta, times, dose):
+    """k_a, k_e and ``D k_a / V`` as ``(..., 1)`` columns, and the checked times."""
+    theta = np.asarray(theta, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if (times < 0).any():
+        raise DomainError("sampling times must be nonnegative")
+    a = theta[..., 0:1]
+    u, w = np.exp(a), np.exp(theta[..., 1:2])
+    return u, w, dose * np.exp(a - theta[..., 2:3]), times
+
+
+def _mean_and_slope(theta, times, dose):
+    """The mean response and its time derivative: what simulation and the likelihood use."""
+    u, w, B, times = _rates(theta, times, dose)
+    value, d_time = _phi_derivs(u, w, times, order=0)
+    value *= B
+    d_time *= B
+    return value, d_time
 
 
 def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
@@ -145,29 +185,31 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     theta-derivatives are taken with respect to the log-parameters.  Without
     ``second`` the Hessian is not formed and ``None`` is returned in its place.
     """
-    theta = np.asarray(theta, dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise DomainError("sampling times must be nonnegative")
-    a = theta[..., 0:1]
-    e = theta[..., 1:2]
-    v = theta[..., 2:3]
-    u, w = np.exp(a), np.exp(e)
-    B = dose * np.exp(a - v)
-    res = _phi_derivs(u, w, times, second=second)
-    phi, phi_u, phi_w, phi_T = res[:4]
-    value = B * phi
-    d_time = B * phi_T
-    g_a = B * (phi + u * phi_u)
-    g_e = B * w * phi_w
-    g_v = -value
-    grad = np.stack([g_a, g_e, g_v], axis=-1)
+    u, w, B, times = _rates(theta, times, dose)
+    res = _phi_derivs(u, w, times, order=2 if second else 1)
+    value, up, wp, d_time = res[:4]
+    value *= B
+    d_time *= B
+    up *= u                                # u phi_u
+    wp *= w                                # w phi_w
+    grad = np.empty(value.shape + (3,))
+    g_a = np.multiply(up, B, out=grad[..., 0])
+    g_a += value                           # B (phi + u phi_u)
+    g_e = np.multiply(wp, B, out=grad[..., 1])
+    np.negative(value, out=grad[..., 2])
     if not second:
         return value, d_time, grad, None
-    phi_uu, phi_ww, phi_uw = res[4:]
-    h_aa = B * (phi + 3 * u * phi_u + u**2 * phi_uu)
-    h_ae = B * (w * phi_w + u * w * phi_uw)
-    h_ee = B * (w * phi_w + w**2 * phi_ww)
+    h_aa, h_ee, h_ae = res[4:]             # phi_uu, phi_ww, phi_uw
+    h_aa *= u * u                          # B (phi + 3 u phi_u + u^2 phi_uu)
+    h_aa += 3 * up
+    h_aa *= B
+    h_aa += value
+    h_ae *= u * w                          # B (w phi_w + u w phi_uw)
+    h_ae += wp
+    h_ae *= B
+    h_ee *= w * w                          # B (w phi_w + w^2 phi_ww)
+    h_ee += wp
+    h_ee *= B
     hess = np.empty(value.shape + (3, 3))
     hess[..., 0, 0] = h_aa
     hess[..., 0, 1] = hess[..., 1, 0] = h_ae
@@ -207,8 +249,7 @@ class PkProblem(ProblemModel):
     def sample_noise(self, rng, n):
         p = self.params
         eps = rng.standard_normal((n, p.n_times, 2))
-        eps[..., 0] *= np.sqrt(p.sigma1_sq)
-        eps[..., 1] *= np.sqrt(p.sigma2_sq)
+        eps *= np.sqrt([p.sigma1_sq, p.sigma2_sq])
         return eps.reshape(n, -1)
 
     def prior_logpdf(self, theta):
@@ -236,26 +277,51 @@ class PkProblem(ProblemModel):
     def simulate(self, design, theta, eps):
         self._check_dims(design, theta, eps)
         e1, e2 = self._split_noise(eps)
-        gbar, _, _, _ = pk_mean_response(theta, design.values, self.params.dose, second=False)
+        gbar, _ = _mean_and_slope(theta, design.values, self.params.dose)
         return gbar * (1.0 + e1) + e2
 
     def loglik_score(self, design, theta, eps, theta_inner):
         self._check_dims(design, theta, eps)
         p = self.params
         e1, e2 = self._split_noise(eps)
-        gbar_out, dT_out, _, _ = pk_mean_response(theta, design.values, p.dose, second=False)
-        y = gbar_out * (1.0 + e1) + e2                     # (n, 15)
-        dy = dT_out * (1.0 + e1)                           # d y_j / d xi_j
-        gbar_in, dT_in, _, _ = pk_mean_response(theta_inner, design.values, p.dose, second=False)
-        var = p.sigma1_sq * gbar_in**2 + p.sigma2_sq       # (n, M, 15)
+        # On the ragged (N, 1) layout each outer row repeats once per inner
+        # row: evaluate the outer response once per run of equal rows.
+        first = np.ones(theta.shape[0], dtype=bool)
+        first[1:] = (theta[1:] != theta[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        runs = np.diff(starts, append=theta.shape[0])
+        y, dy = (np.repeat(a, runs, axis=0)
+                 for a in _mean_and_slope(theta[starts], design.values, p.dose))
+        dy *= 1.0 + e1                                     # d y_j / d xi_j
+        y *= 1.0 + e1
+        y += e2                                            # (n, 15)
+        # Each (n, M, 15) array below is formed once and then updated in place.
+        gbar_in, dT_in = _mean_and_slope(theta_inner, design.values, p.dose)
+        var = gbar_in * gbar_in
+        var *= p.sigma1_sq
+        var += p.sigma2_sq
         r = y[:, None, :] - gbar_in
-        log_rho = (-0.5 * (LOG_2PI + np.log(var)) - r**2 / (2 * var)).sum(axis=-1)
-        dvar = 2.0 * p.sigma1_sq * gbar_in * dT_in
         # Per-time factor j depends only on xi_j, so the score is dense in j
         # and zero across times: components line up with the design vector.
-        score = (-dvar / (2 * var)
-                 - r * (dy[:, None, :] - dT_in) / var
-                 + r**2 * dvar / (2 * var**2))
+        # With dvar = d var / d xi_j = 2 sigma1^2 gbar_in dT_in and
+        # dr = d r / d xi_j = dy - dT_in it is
+        # dvar / (2 var) (r^2 / var - 1) - r dr / var.
+        half_dlogvar = np.multiply(gbar_in, dT_in, out=gbar_in)
+        half_dlogvar *= p.sigma1_sq
+        half_dlogvar /= var                                # dvar / (2 var)
+        r_dr = np.subtract(dy[:, None, :], dT_in, out=dT_in)
+        r_dr *= r
+        r_dr /= var                                        # r dr / var
+        q = np.multiply(r, r, out=r)                       # r^2 / var
+        q /= var
+        log_var = np.log(var, out=var)
+        log_var += q
+        log_var += LOG_2PI
+        log_rho = -0.5 * log_var.sum(axis=-1)
+        score = q
+        score -= 1.0
+        score *= half_dlogvar
+        score -= r_dr
         if not np.all(np.isfinite(log_rho)):
             raise NumericalDomainError(
                 "non-finite PK log-likelihood", design=design.values, theta=theta

@@ -138,26 +138,23 @@ def laplace_fit_batch(model, design: Design, theta_star, y):
     y = np.asarray(y, dtype=float)
 
     gbar, grad, hess = model.observation_derivs(design, theta_star, second=True)
-    J = -grad                                     # (n, t, s)
-    H = -hess                                     # (n, t, s, s)
+    n, t, s = grad.shape
     s_eps = model.observation_variance(gbar)      # evaluated at theta* here
     E = y - gbar
     _, _, prior_hess = model.prior_logpdf_derivs(theta_star)
 
-    JtSinvJ = np.einsum("ntj,nt,ntk->njk", J, 1.0 / s_eps, J)
-    Hterm = np.einsum("ntjk,nt->njk", H, E / s_eps)
-    A = JtSinvJ + Hterm - prior_hess
-    b = np.einsum("ntj,nt->nj", J, E / s_eps)
-    delta, bad = _per_row(np.linalg.solve, np.zeros(b.shape + (1,)), A, b[..., None])
-    delta = delta[..., 0]
-    means = theta_star - delta
+    # J = -grad and H = -hess; the signs are folded into the products below.
+    GtSinv = np.swapaxes(grad / s_eps[..., None], 1, 2)           # -J'S^-1, (n, s, t)
+    Hterm = ((E / s_eps)[:, None, :] @ hess.reshape(n, t, s * s)).reshape(n, s, s)
+    A = GtSinv @ grad - Hterm - prior_hess
+    step, bad = _per_row(np.linalg.solve, np.zeros((n, s, 1)), A, GtSinv @ E[..., None])
+    means = theta_star + step[..., 0]             # theta* - A^-1 J'S^-1 E
     means[bad] = theta_star[bad]
 
     gbar_hat, grad_hat, _ = model.observation_derivs(design, means, second=False)
-    J_hat = -grad_hat
     s_hat = model.observation_variance(gbar_hat)
     _, _, prior_hess_hat = model.prior_logpdf_derivs(means)
-    prec = np.einsum("ntj,nt,ntk->njk", J_hat, 1.0 / s_hat, J_hat) - prior_hess_hat
-    covs, bad_inv = _per_row(np.linalg.inv, np.broadcast_to(np.eye(model.s), prec.shape), prec)
+    prec = np.swapaxes(grad_hat / s_hat[..., None], 1, 2) @ grad_hat - prior_hess_hat
+    covs, bad_inv = _per_row(np.linalg.inv, np.broadcast_to(np.eye(s), prec.shape), prec)
     fallback = bad | bad_inv
     return means, covs, fallback

@@ -168,3 +168,34 @@ def test_cli_import_leaves_out_scipy_and_exports_resolve():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("field,document,flags", [
+    ("xi0", None, ["--xi0", "1,2"]),
+    ("lower", {"lower": [0.1, 0.2]}, []),
+    ("upper", {"problem": "pk", "upper": [24.0] * 14}, []),
+])
+def test_design_length_is_a_configuration_error(tmp_path, capsys, field, document, flags):
+    args = ["eig", "--n-outer", "32", "--out", tmp_path, *flags]
+    if document is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        args += ["--config", cfg_path]
+    rc = run_cli(args)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "configuration"
+    assert err["message"].startswith(f"{field} has ")
+    assert not (tmp_path / "eig.json").exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_fewer_than_two_decay_levels_is_a_configuration_error(tmp_path, capsys, levels):
+    rc = run_cli(["decay", "--levels", levels, "--samples-per-level", "10", "--out", tmp_path])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not (tmp_path / "decay.csv").exists()

@@ -77,3 +77,21 @@ def test_too_few_levels_rejected():
             model, Design(np.array([1.5])), 1, 10,
             LevelWeights(tau=1.5), PriorProposalFactory(), 14,
         )
+
+
+def test_threads_reach_the_chunk_runner(monkeypatch):
+    from mlmc_boed import decay
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(args[4])
+        return run_chunks(*args, **kwargs)
+
+    run_chunks = decay._run_chunks
+    model, design, w = TestCaseProblem(), Design(np.array([1.5])), LevelWeights(tau=1.5)
+    one = decay_study(model, design, 4, 300, w, PriorProposalFactory(), 15)
+    monkeypatch.setattr(decay, "_run_chunks", recording)
+    two = decay_study(model, design, 4, 300, w, PriorProposalFactory(), 15, threads=2)
+    assert seen == [2] * 4
+    assert one == two

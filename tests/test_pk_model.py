@@ -155,3 +155,19 @@ def test_custom_params_propagate():
     eps = small.sample_noise(rng, 2)
     y = small.simulate(design, theta, eps)
     assert y.shape == (2, 4)
+
+
+def test_loglik_rows_sharing_theta_but_not_eps(model):
+    # The ragged layout repeats each outer theta over consecutive rows while
+    # eps and the inner value change; a theta may also come back later.
+    rng = np.random.default_rng(7)
+    design = model.default_design()
+    theta = model.sample_prior(rng, 3)[[0, 0, 1, 2, 2, 2, 0]]
+    eps = model.sample_noise(rng, 7)
+    inner = model.sample_prior(rng, 7).reshape(7, 1, 3)
+    log_rho, score = model.loglik_score(design, theta, eps, inner)
+    for i in range(7):
+        lr, sc = model.loglik_score(design, theta[i:i + 1], eps[i:i + 1], inner[i:i + 1])
+        np.testing.assert_allclose(log_rho[i], lr[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(score[i], sc[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(sc).max())
