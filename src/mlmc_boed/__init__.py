@@ -23,7 +23,6 @@ from .errors import (
 )
 from .gradient import (
     GradientEstimate,
-    correction_samples,
     standard_gradient,
     unbiased_gradient,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "TestCaseProblem",
     "TraceRow",
     "amsgrad_step",
-    "correction_samples",
     "decay_study",
     "default_config",
     "eig_nested",

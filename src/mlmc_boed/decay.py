@@ -67,6 +67,8 @@ def decay_study(
     """
     if levels < 2:
         raise ContractViolationError("decay study needs at least 2 levels")
+    if samples_per_level < 1:
+        raise ContractViolationError("decay study needs at least 1 sample per level")
 
     def row(lvl):
         def chunk(rng, n):

@@ -1,15 +1,16 @@
 """Estimators of the expected information gain (EIG) itself.
 
-Two Monte Carlo estimators share the sampling machinery of
-:mod:`mlmc_boed.gradient`: a nested estimator with a fixed inner sample size
-(bias O(1/M)) and a randomized-level debiased estimator whose corrections are
-the log-marginal-likelihood analogue of the antithetic gradient corrections:
+A randomized-level debiased estimator whose corrections are the
+log-marginal-likelihood analogue of the antithetic gradient corrections:
 
     phi_0     = log rho_self - log rhobar_{M0}
     dphi_l    = (log rhobar_a + log rhobar_b) / 2 - log rhobar_fine   (l > 0)
 
-reweighted by 1 / w_l.  The closed forms for the lognormal test case are also
-provided here for verification.
+reweighted by 1 / w_l, and the nested estimator with a fixed inner sample
+size M (bias O(1/M)), which is the same estimator under a point mass at
+level 0 with ``m0 = M``.  Both run on the estimator core of
+:mod:`mlmc_boed.gradient`, with the likelihood's scores left out.  The closed
+forms for the lognormal test case are also provided here for verification.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log, sqrt
 
-import numpy as np
-
 from .errors import ContractViolationError
-from .gradient import _chunk_variables, _run_chunks
+from .gradient import _debiased_sums
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import PHASE_EIG
@@ -55,19 +54,14 @@ def eig_nested(
     threads: int = 1,
     base_index: int = 0,
 ) -> EigEstimate:
-    """Fixed-M nested estimator: mean of log rho_self - log rhobar_M."""
-    if n_outer < 1 or m_inner < 1:
-        raise ContractViolationError("n_outer and m_inner must be at least 1")
-
-    def chunk(rng, n):
-        levels = np.zeros(n, dtype=np.int64)
-        phi, _, n_fallback = _chunk_variables(
-            model, design, proposal_factory, rng, levels, m_inner, scored=False
-        )
-        return phi.sum(), (phi**2).sum(), n * m_inner, n_fallback
-
-    sums = _run_chunks(n_outer, seed, PHASE_EIG, base_index, threads, chunk)
-    return _eig_estimate(n_outer, sums)
+    """Fixed-M nested estimator, mean of log rho_self - log rhobar_M: the
+    debiased estimator under a point mass at level 0 with ``m0 = m_inner``."""
+    if m_inner < 1:
+        raise ContractViolationError("m_inner must be at least 1")
+    return eig_unbiased_mlmc(
+        model, design, n_outer, LevelWeights(m0=m_inner, w0_override=1.0),
+        proposal_factory, seed, threads=threads, base_index=base_index,
+    )
 
 
 def eig_unbiased_mlmc(
@@ -82,19 +76,10 @@ def eig_unbiased_mlmc(
     base_index: int = 0,
 ) -> EigEstimate:
     """Randomized-level debiased EIG estimator with antithetic corrections."""
-    if n_outer < 1:
-        raise ContractViolationError("n_outer must be at least 1")
-
-    def chunk(rng, n):
-        levels = weights.sample_levels(rng, n)
-        phi, _, n_fallback = _chunk_variables(
-            model, design, proposal_factory, rng, levels, weights.m0, scored=False
-        )
-        contrib = phi / weights.weight(levels)
-        cost = int(weights.inner_samples(levels).sum())
-        return contrib.sum(), (contrib**2).sum(), cost, n_fallback
-
-    sums = _run_chunks(n_outer, seed, PHASE_EIG, base_index, threads, chunk)
+    sums = _debiased_sums(
+        model, design, n_outer, weights, proposal_factory, seed, threads=threads,
+        phase=PHASE_EIG, base_index=base_index, scored=False,
+    )
     return _eig_estimate(n_outer, sums)
 
 

@@ -1,19 +1,19 @@
 """Monte Carlo estimators for the gradient of the expected information gain.
 
-* :func:`correction_samples` -- the multilevel correction variable at one
-  level, antithetic (two half-batches averaged) or naive (single half-batch);
-  at level 0 with ``m0 = M`` it is the biased fixed-M nested MC variable.
 * :func:`unbiased_gradient` -- the randomized-level debiased estimator that
-  averages ``delta_psi_l / w_l`` over outer samples.
-* :func:`standard_gradient` -- the biased fixed-M nested MC estimator.
+  averages ``delta_psi_l / w_l`` over outer samples, with antithetic (two
+  half-batches averaged) or naive (single half-batch) corrections.
+* :func:`standard_gradient` -- the biased fixed-M nested MC estimator, which
+  is the same estimator under a point mass at level 0 with ``m0 = M``.
 
-These, the EIG estimators and the decay study run on one core over
-fixed-size chunks of outer samples.  A chunk's draws happen per level group
-in increasing level order; the likelihood is then evaluated once per chunk,
-and one segmented reduction forms every half-batch sum under its own max
-shift (inner averages are self-normalized, immune to underflow).  Each chunk
-owns a deterministic RNG sub-stream, so results are bit-reproducible for a
-fixed master seed no matter how many workers are used.
+All of these, the EIG estimators and the decay study run on one core over
+fixed-size chunks of outer samples.  A chunk draws its levels first (a point
+mass draws nothing), then per level group in increasing level order its
+outer samples, one proposal fit and its inner samples.  The likelihood is
+evaluated once per chunk, and one segmented reduction forms every half-batch
+sum under its own max shift (inner averages are self-normalized, immune to
+underflow).  Each chunk owns a deterministic RNG sub-stream, so results are
+bit-reproducible for a fixed master seed no matter how many workers are used.
 """
 
 from __future__ import annotations
@@ -165,49 +165,32 @@ def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK
 
 
 # ---------------------------------------------------------------------------
-# gradient variables
-
-
-def delta_from_inner(log_w, scores, level: int, *, self_score=None, antithetic=True):
-    """Correction variable from precomputed inner weights/scores.
-
-    ``log_w (n, M)``, ``scores (n, M, d)`` with ``M = m0 * 2**level``.  For
-    ``level == 0``, ``self_score (n, d)`` is required (the psi variable keeps
-    its self term); for higher levels the self term cancels between fine and
-    coarse and is never formed.
-    """
-    n, m = log_w.shape
-    if level == 0:
-        if self_score is None:
-            raise ContractViolationError("level 0 requires the self-score term")
-        log_w = np.concatenate([np.zeros((n, 1)), log_w], axis=1)
-        scores = np.concatenate([self_score[:, None, :], scores], axis=1)
-    delta, _ = _reduce(log_w.ravel(), scores.reshape(log_w.size, -1), [n], [m],
-                       [level == 0], [level > 0], antithetic)
-    return delta
-
-
-def correction_samples(
-    model, design, level, weights: LevelWeights, proposal_factory, rng,
-    n_outer=1, *, antithetic=True, with_psi_fine=False,
-):
-    """``n_outer`` draws of the level-``level`` correction variable, (n, d).
-
-    One (theta, eps) pair and one proposal fit per outer sample; every inner
-    sample's likelihood/score is evaluated exactly once and shared between
-    the fine and coarse averages.  With ``with_psi_fine`` the fine-level psi
-    variable (used by the decay diagnostics) is returned alongside.
-    """
-    levels = np.full(n_outer, level, dtype=np.int64)
-    delta, psi, _ = _chunk_variables(
-        model, design, proposal_factory, rng, levels, weights.m0,
-        antithetic=antithetic, with_psi=with_psi_fine,
-    )
-    return (delta, psi) if with_psi_fine else delta
-
-
-# ---------------------------------------------------------------------------
 # estimators
+
+
+def _debiased_sums(
+    model, design, n_outer, weights: LevelWeights, proposal_factory, seed, *,
+    threads, phase, base_index, scored, antithetic=True,
+):
+    """``[sum, sum of squared norms, inner cost, fallbacks]`` of ``var_l / w_l``
+    over ``n_outer`` samples with levels drawn from ``weights``, where ``var``
+    is the gradient variable if ``scored``, else the EIG variable."""
+    if n_outer < 1:
+        raise ContractViolationError("n_outer must be at least 1")
+
+    def chunk(rng, n):
+        levels = weights.sample_levels(rng, n)
+        var, _, n_fallback = _chunk_variables(
+            model, design, proposal_factory, rng, levels, weights.m0,
+            scored=scored, antithetic=antithetic,
+        )
+        w = weights.weight(levels)
+        contrib = var / (w[:, None] if scored else w)
+        sq_norm = (contrib**2).reshape(n, -1).sum(axis=1)
+        cost = int(weights.inner_samples(levels).sum())
+        return contrib.sum(axis=0), sq_norm.sum(), cost, n_fallback
+
+    return _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
 
 
 def _gradient_estimate(n_outer, sums) -> GradientEstimate:
@@ -241,20 +224,10 @@ def unbiased_gradient(
     ``(seed, phase, base_index + chunk)``, making the result independent of
     ``threads``.
     """
-    if n_outer < 1:
-        raise ContractViolationError("n_outer must be at least 1")
-
-    def chunk(rng, n):
-        levels = weights.sample_levels(rng, n)
-        delta, _, n_fallback = _chunk_variables(
-            model, design, proposal_factory, rng, levels, weights.m0,
-            antithetic=antithetic,
-        )
-        contrib = delta / weights.weight(levels)[:, None]
-        cost = int(weights.inner_samples(levels).sum())
-        return contrib.sum(axis=0), (contrib**2).sum(axis=1).sum(), cost, n_fallback
-
-    sums = _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
+    sums = _debiased_sums(
+        model, design, n_outer, weights, proposal_factory, seed, threads=threads,
+        phase=phase, base_index=base_index, scored=True, antithetic=antithetic,
+    )
     return _gradient_estimate(n_outer, sums)
 
 
@@ -270,16 +243,11 @@ def standard_gradient(
     phase: int = PHASE_GRADIENT,
     base_index: int = 0,
 ) -> GradientEstimate:
-    """Biased fixed-M nested MC gradient estimate, chunked like the MLMC one."""
-    if n_outer < 1:
-        raise ContractViolationError("n_outer must be at least 1")
-
-    def chunk(rng, n):
-        levels = np.zeros(n, dtype=np.int64)
-        psi, _, n_fallback = _chunk_variables(
-            model, design, proposal_factory, rng, levels, m_inner
-        )
-        return psi.sum(axis=0), (psi**2).sum(axis=1).sum(), n * m_inner, n_fallback
-
-    sums = _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
-    return _gradient_estimate(n_outer, sums)
+    """Biased fixed-M nested MC gradient estimate: the debiased estimator
+    under a point mass at level 0 with ``m0 = m_inner``."""
+    if m_inner < 1:
+        raise ContractViolationError("m_inner must be at least 1")
+    return unbiased_gradient(
+        model, design, n_outer, LevelWeights(m0=m_inner, w0_override=1.0),
+        proposal_factory, seed, threads=threads, phase=phase, base_index=base_index,
+    )

@@ -4,7 +4,8 @@ Level ``l`` uses ``m0 * 2**l`` inner samples and is drawn with probability
 ``w_l`` proportional to ``2**(-tau * l)``.  The expected cost per correction
 sample is finite iff ``tau > 1``, which is enforced at construction.  An
 explicit ``w0`` override (used by the PK experiments) pins the level-0 mass
-and renormalizes the geometric tail to ``1 - w0``.
+and renormalizes the geometric tail to ``1 - w0``; ``w0 = 1`` is the point
+mass at level 0 under which the fixed-M nested estimators run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class LevelWeights:
     w0_override: float | None = None
 
     def __post_init__(self):
-        if self.m0 < 1:
+        m0 = self.m0
+        if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)) or m0 < 1:
             raise ConfigurationError("m0 must be a positive integer")
         if self.tau <= 1.0:
             raise ConfigurationError(
@@ -63,7 +65,10 @@ class LevelWeights:
         return self.m0 * (w0 + 2.0 * (1.0 - w0) * (1.0 - r) / (1.0 - 2.0 * r))
 
     def sample_levels(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` i.i.d. levels by closed-form inverse CDF."""
+        """Draw ``n`` i.i.d. levels by closed-form inverse CDF; a point mass
+        at level 0 (``w0_override == 1``) draws nothing from ``rng``."""
+        if self.w0_override == 1.0:
+            return np.zeros(n, dtype=np.int64)
         u = rng.random(n)
         log_r = np.log(self.ratio)
         if self.w0_override is None:
@@ -72,7 +77,7 @@ class LevelWeights:
             w0 = self.w0_override
             levels = np.zeros(n, dtype=np.int64)
             tail = u >= w0
-            if w0 < 1.0 and np.any(tail):
+            if np.any(tail):
                 v = (1.0 - u[tail]) / (1.0 - w0)  # uniform on (0, 1]
                 levels[tail] = 1 + np.floor(np.log(v) / log_r).astype(np.int64)
         if np.any(levels > MAX_LEVEL):

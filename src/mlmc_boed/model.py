@@ -124,12 +124,6 @@ class ProblemModel:
         """
         raise NotImplementedError
 
-    # -- conveniences -----------------------------------------------------
-    def self_loglik_score(self, design: Design, theta: np.ndarray, eps: np.ndarray):
-        """``(log rho, score)`` at ``theta_inner = theta``, shapes ``(n,), (n, d)``."""
-        log_rho, score = self.loglik_score(design, theta, eps, theta[:, None, :])
-        return log_rho[:, 0], score[:, 0, :]
-
     def default_design(self) -> Design:
         raise NotImplementedError
 

@@ -35,7 +35,7 @@ def correction_samples(model, design, level, m, factory, rng, n, antithetic=True
     """``(delta, psi_fine, n_fallback)`` of ``n`` samples at ``level``."""
     theta, eps, y = _draw_outer(model, design, n, rng)
     log_w, scores, n_fb = _inner(model, design, factory, theta, eps, y, m, rng, True)
-    _, self_score = model.self_loglik_score(design, theta, eps)
+    self_score = model.loglik_score(design, theta, eps, theta[:, None, :])[1][:, 0]
     ratio_f = _ratio(log_w, scores)
     if level == 0:
         delta = self_score - ratio_f

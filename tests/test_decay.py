@@ -79,6 +79,18 @@ def test_too_few_levels_rejected():
         )
 
 
+def test_zero_samples_per_level_rejected_before_any_draw():
+    class NoDraws(TestCaseProblem):
+        def sample_prior(self, rng, n):
+            raise AssertionError("drew before the check")
+
+    with pytest.raises(ContractViolationError):
+        decay_study(
+            NoDraws(), Design(np.array([1.5])), 3, 0,
+            LevelWeights(tau=1.5), PriorProposalFactory(), 14,
+        )
+
+
 def test_threads_reach_the_chunk_runner(monkeypatch):
     from mlmc_boed import decay
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmc_boed import (
     ContractViolationError,
@@ -10,11 +12,12 @@ from mlmc_boed import (
     PriorProposalFactory,
     ProblemModel,
     TestCaseProblem,
-    correction_samples,
+    decay_study,
+    eig_nested,
     standard_gradient,
     unbiased_gradient,
 )
-from mlmc_boed.gradient import delta_from_inner
+from mlmc_boed.gradient import _reduce, _segment_sums
 
 
 class FlatLikelihoodModel(ProblemModel):
@@ -42,17 +45,29 @@ class FlatLikelihoodModel(ProblemModel):
         return log_rho, score
 
 
+def _ratio(log_w, scores):
+    w = np.exp(log_w)
+    return (w[..., None] * scores).sum(axis=1) / w.sum(axis=1)[:, None]
+
+
+def _correction(log_w, scores, antithetic=True):
+    """``delta`` of ``n`` level > 0 samples from ``(n, M)`` inner weights."""
+    n, m = log_w.shape
+    delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), [n], [m],
+                       [False], [True], antithetic)
+    return delta
+
+
 def test_flat_likelihood_gives_zero_gradient_variable():
     model = FlatLikelihoodModel()
     design = Design(np.array([2.0]))
-    rng = np.random.default_rng(0)
-    # Level 0 with m0 = 8 is the fixed-M nested variable with M = 8.
-    psi = correction_samples(model, design, 0, LevelWeights(m0=8), PriorProposalFactory(), rng, 64)
-    assert np.allclose(psi, 0.0, atol=1e-14)
-    delta = correction_samples(
-        model, design, 3, LevelWeights(tau=1.5), PriorProposalFactory(), rng, 16
-    )
-    assert np.allclose(delta, 0.0, atol=1e-14)
+    # Fixed M = 8, then randomized levels (0..3 at this seed).
+    psi = standard_gradient(model, design, 64, 8, PriorProposalFactory(), 0)
+    assert np.allclose(psi.grad, 0.0, atol=1e-14)
+    assert psi.per_sample_sq_norm_mean < 1e-28
+    delta = unbiased_gradient(model, design, 64, LevelWeights(tau=1.5), PriorProposalFactory(), 1)
+    assert np.allclose(delta.grad, 0.0, atol=1e-13)
+    assert delta.per_sample_sq_norm_mean < 1e-26
 
 
 def test_identical_halves_cancel_exactly():
@@ -61,8 +76,7 @@ def test_identical_halves_cancel_exactly():
     half_s = rng.normal(size=(5, 4, 2))
     log_w = np.concatenate([half_w, half_w], axis=1)
     scores = np.concatenate([half_s, half_s], axis=1)
-    delta = delta_from_inner(log_w, scores, level=3)
-    assert np.allclose(delta, 0.0, atol=1e-13)
+    assert np.allclose(_correction(log_w, scores), 0.0, atol=1e-13)
 
 
 def test_antithetic_delta_matches_direct_formula():
@@ -70,18 +84,12 @@ def test_antithetic_delta_matches_direct_formula():
     m = 16
     log_w = rng.normal(size=(6, m))
     scores = rng.normal(size=(6, m, 1))
-
-    def ratio(lw, sc):
-        w = np.exp(lw)
-        return (w[..., None] * sc).sum(axis=1) / w.sum(axis=1)[:, None]
-
     direct = (
-        0.5 * (ratio(log_w[:, : m // 2], scores[:, : m // 2])
-               + ratio(log_w[:, m // 2 :], scores[:, m // 2 :]))
-        - ratio(log_w, scores)
+        0.5 * (_ratio(log_w[:, : m // 2], scores[:, : m // 2])
+               + _ratio(log_w[:, m // 2 :], scores[:, m // 2 :]))
+        - _ratio(log_w, scores)
     )
-    delta = delta_from_inner(log_w, scores, level=4)
-    assert np.allclose(delta, direct, rtol=1e-12)
+    assert np.allclose(_correction(log_w, scores), direct, rtol=1e-12)
 
 
 def test_naive_delta_uses_single_half():
@@ -89,41 +97,54 @@ def test_naive_delta_uses_single_half():
     m = 8
     log_w = rng.normal(size=(4, m))
     scores = rng.normal(size=(4, m, 1))
-
-    def ratio(lw, sc):
-        w = np.exp(lw)
-        return (w[..., None] * sc).sum(axis=1) / w.sum(axis=1)[:, None]
-
-    direct = ratio(log_w[:, : m // 2], scores[:, : m // 2]) - ratio(log_w, scores)
-    delta = delta_from_inner(log_w, scores, level=3, antithetic=False)
-    assert np.allclose(delta, direct, rtol=1e-12)
-
-
-def test_level_zero_requires_self_score():
-    with pytest.raises(ContractViolationError):
-        delta_from_inner(np.zeros((1, 1)), np.zeros((1, 1, 1)), level=0)
+    direct = _ratio(log_w[:, : m // 2], scores[:, : m // 2]) - _ratio(log_w, scores)
+    assert np.allclose(_correction(log_w, scores, antithetic=False), direct, rtol=1e-12)
 
 
 def test_level_zero_variable_is_self_minus_ratio():
-    log_w = np.array([[0.0, 0.0]])
-    scores = np.array([[[1.0], [3.0]]])
-    self_score = np.array([[5.0]])
-    delta = delta_from_inner(log_w, scores, level=0, self_score=self_score)
+    # One sample: its self row (weight 1, score 5), then inner scores 1 and 3.
+    log_w = np.zeros(3)
+    scores = np.array([[5.0], [1.0], [3.0]])
+    delta, psi = _reduce(log_w, scores, [1], [2], [True], [False], True)
     assert delta[0, 0] == pytest.approx(5.0 - 2.0)
+    assert psi[0, 0] == delta[0, 0]
 
 
 def test_correction_telescopes_the_fine_variable():
-    # psi_fine + delta must equal the average of the two half-batch psi
-    # variables built from the same draws (the self terms cancel in delta).
-    model = TestCaseProblem()
-    design = Design(np.array([1.5]))
+    # delta = psi_fine - psi_coarse, where psi_coarse averages the two
+    # half-batch psi variables of the same draws (the self terms cancel).
     rng = np.random.default_rng(4)
-    delta, psi_fine = correction_samples(
-        model, design, 3, LevelWeights(tau=1.5), PriorProposalFactory(), rng, 32,
-        with_psi_fine=True,
-    )
-    assert delta.shape == psi_fine.shape == (32, 1)
-    assert np.all(np.isfinite(delta))
+    n, m = 7, 8
+    log_w = rng.normal(size=(n, m))
+    scores = rng.normal(size=(n, m, 2))
+    self_score = rng.normal(size=(n, 2))
+    flat_w = np.concatenate([np.zeros((n, 1)), log_w], axis=1).ravel()
+    flat_s = np.concatenate([self_score[:, None, :], scores], axis=1).reshape(-1, 2)
+    delta, psi_fine = _reduce(flat_w, flat_s, [n], [m], [True], [True], True)
+    psi_a = self_score - _ratio(log_w[:, : m // 2], scores[:, : m // 2])
+    psi_b = self_score - _ratio(log_w[:, m // 2 :], scores[:, m // 2 :])
+    assert np.allclose(psi_fine, self_score - _ratio(log_w, scores), rtol=1e-12)
+    assert np.allclose(psi_fine - delta, 0.5 * (psi_a + psi_b), rtol=1e-12)
+    # The decay study forms both variables from one model's draws.
+    report = decay_study(TestCaseProblem(), Design(np.array([1.5])), 4, 32,
+                         LevelWeights(tau=1.5), PriorProposalFactory(), 4)
+    assert all(np.isfinite(r.mean_sq_delta) and r.mean_sq_psi > 0 for r in report.rows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_segment_sums_match_a_per_segment_loop(lengths, seed):
+    rng = np.random.default_rng(seed)
+    log_w = rng.normal(scale=30.0, size=sum(lengths))
+    scores = rng.normal(size=(log_w.size, 2))
+    starts = np.cumsum(lengths) - lengths
+    top, den, num = _segment_sums(log_w, scores, starts)
+    for k, (a, size) in enumerate(zip(starts, lengths)):
+        seg = slice(a, a + size)
+        lin = np.exp(log_w[seg] - log_w[seg].max())
+        assert top[k] == log_w[seg].max()
+        assert den[k] == pytest.approx(lin.sum(), rel=1e-12)
+        assert np.allclose(num[k], lin @ scores[seg], rtol=1e-12, atol=1e-12)
 
 
 def test_unbiased_gradient_deterministic_across_threads():
@@ -167,3 +188,13 @@ def test_invalid_sample_count_rejected():
     design = Design(np.array([1.5]))
     with pytest.raises(ContractViolationError):
         unbiased_gradient(model, design, 0, LevelWeights(), PriorProposalFactory(), 0)
+
+
+@pytest.mark.parametrize("estimator", [standard_gradient, eig_nested])
+def test_fixed_m_estimators_reject_an_empty_inner_batch(estimator):
+    class NoDraws(TestCaseProblem):
+        def sample_prior(self, rng, n):
+            raise AssertionError("drew before the check")
+
+    with pytest.raises(ContractViolationError):
+        estimator(NoDraws(), Design(np.array([1.5])), 10, 0, PriorProposalFactory(), 0)

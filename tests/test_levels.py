@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmc_boed import ConfigurationError, LevelWeights
 
@@ -28,8 +30,9 @@ def test_weights_are_geometric_in_level():
 
 
 def test_inner_samples_double_per_level():
-    w = LevelWeights(m0=3, tau=1.5)
-    assert list(w.inner_samples(np.arange(4))) == [3, 6, 12, 24]
+    for m0 in (3, np.int64(3)):
+        w = LevelWeights(m0=m0, tau=1.5)
+        assert list(w.inner_samples(np.arange(4))) == [3, 6, 12, 24]
 
 
 def test_expected_cost_closed_forms():
@@ -69,18 +72,29 @@ def test_sampling_realizes_expected_cost():
 def test_degenerate_override_always_level_zero():
     w = LevelWeights(tau=1.5, w0_override=1.0)
     rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
     assert np.all(w.sample_levels(rng, 10_000) == 0)
+    # A point mass draws nothing: the fixed-M estimators' streams stay intact.
+    assert rng.bit_generator.state == state
     assert w.expected_cost() == pytest.approx(1.0)
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ConfigurationError):
-        LevelWeights(tau=1.0)
-    with pytest.raises(ConfigurationError):
-        LevelWeights(tau=0.5)
-    with pytest.raises(ConfigurationError):
-        LevelWeights(m0=0)
-    with pytest.raises(ConfigurationError):
-        LevelWeights(w0_override=0.0)
-    with pytest.raises(ConfigurationError):
-        LevelWeights(w0_override=1.5)
+    for kwargs in (
+        {"tau": 1.0}, {"tau": 0.5}, {"m0": 0}, {"m0": 1.5}, {"m0": 2.0}, {"m0": True},
+        {"m0": "2"}, {"w0_override": 0.0}, {"w0_override": 1.5},
+    ):
+        with pytest.raises(ConfigurationError):
+            LevelWeights(**kwargs)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.floats(1.05, 4.0), st.one_of(st.none(), st.floats(0.05, 0.99)))
+def test_sampled_frequencies_match_weights_for_any_parameters(tau, w0):
+    w = LevelWeights(tau=tau, w0_override=w0)
+    n = 20_000
+    levels = w.sample_levels(np.random.default_rng(17), n)
+    for lvl in range(4):
+        p = float(w.weight(lvl))
+        # 5-sigma binomial band
+        assert abs((levels == lvl).mean() - p) <= 5 * np.sqrt(p * (1 - p) / n) + 1e-12

@@ -98,17 +98,6 @@ def test_score_matches_finite_difference_in_design(model):
     assert np.allclose(score[..., 0], (lp - lm) / (2 * e), rtol=1e-5, atol=1e-7)
 
 
-def test_self_evaluation_consistency(model):
-    rng = np.random.default_rng(4)
-    theta = model.sample_prior(rng, 6)
-    eps = model.sample_noise(rng, 6)
-    design = Design(np.array([0.8]))
-    log_rho, score = model.self_loglik_score(design, theta, eps)
-    log_rho2, score2 = model.loglik_score(design, theta, eps, theta[:, None, :])
-    assert np.array_equal(log_rho, log_rho2[:, 0])
-    assert np.array_equal(score, score2[:, 0, :])
-
-
 def test_closed_form_eig_values():
     xi_star = testcase_optimal_design()
     assert xi_star == pytest.approx(np.sqrt(np.log(3.0)))
