@@ -28,22 +28,12 @@ from .gradient import (
 )
 from .levels import LevelWeights
 from .model import Design, ProblemModel
-from .optim import (
-    AmsGradState,
-    BoxDomain,
-    RobbinsMonroState,
-    TraceRow,
-    amsgrad_step,
-    optimize,
-    project,
-    rm_step,
-)
+from .optim import BoxDomain, TraceRow, optimize, project
 from .pk import PkParams, PkProblem, pk_mean_response
 from .proposals import LaplaceProposalFactory, PriorProposalFactory, laplace_fit_batch
 from .testcase import TestCaseParams, TestCaseProblem, gain_g, gain_h
 
 __all__ = [
-    "AmsGradState",
     "BoxDomain",
     "ConfigurationError",
     "ContractViolationError",
@@ -60,12 +50,10 @@ __all__ = [
     "PkProblem",
     "PriorProposalFactory",
     "ProblemModel",
-    "RobbinsMonroState",
     "RunConfig",
     "TestCaseParams",
     "TestCaseProblem",
     "TraceRow",
-    "amsgrad_step",
     "decay_study",
     "default_config",
     "eig_nested",
@@ -77,7 +65,6 @@ __all__ = [
     "optimize",
     "pk_mean_response",
     "project",
-    "rm_step",
     "standard_gradient",
     "testcase_eig_closed",
     "testcase_eig_upper",

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 from .levels import LevelWeights
 from .model import Design
 from .optim import BoxDomain
@@ -98,9 +98,14 @@ class RunConfig:
             raise ConfigurationError("max_iters and seed must be nonnegative")
         if self.levels < 2:
             raise ConfigurationError("levels must be at least 2 (beta_hat needs two levels)")
-        # Validate m0/tau/w0 and bound/initial-design shapes eagerly.
+        # Validate m0/tau/w0, the bound/initial-design shapes and the box
+        # (built from the design) eagerly.
         self.make_weights()
-        self.make_design()
+        self.make_box()
+        if self.proposal == "laplace" and not hasattr(self.make_model(), "observation_derivs"):
+            raise ConfigurationError(
+                f"the laplace proposal needs Laplace-fit hooks; the {self.problem} model has none"
+            )
 
     # -- factories ---------------------------------------------------------
 
@@ -126,7 +131,10 @@ class RunConfig:
 
     def make_box(self) -> BoxDomain:
         d = self.make_design()
-        return BoxDomain(lower=d.lower, upper=d.upper)
+        try:
+            return BoxDomain(lower=d.lower, upper=d.upper)
+        except ContractViolationError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def make_weights(self) -> LevelWeights:
         return LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)

@@ -36,14 +36,18 @@ class DecayReport:
 
 
 def fit_beta(rows: list[DecayRow], fit_range: tuple[int, int]) -> float:
-    """Least-squares slope of -log2 mean_sq_delta on the level."""
+    """Least-squares slope of -log2 mean_sq_delta on the level.
+
+    NaN when the range holds fewer than two levels or a mean square that is
+    not positive (its logarithm does not exist).
+    """
     lo, hi = fit_range
     pts = [(r.level, r.mean_sq_delta) for r in rows if lo <= r.level <= hi]
-    if len(pts) < 2:
+    ms = np.array([p[1] for p in pts], dtype=float)
+    if len(pts) < 2 or not np.all(ms > 0):
         return float("nan")
     lv = np.array([p[0] for p in pts], dtype=float)
-    ms = np.log2([p[1] for p in pts])
-    slope = np.polyfit(lv, ms, 1)[0]
+    slope = np.polyfit(lv, np.log2(ms), 1)[0]
     return float(-slope)
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ContractViolationError
 
+LOG_2PI = float(np.log(2.0 * np.pi))
+
 
 @dataclass(frozen=True)
 class Design:

@@ -1,19 +1,26 @@
-"""Projected stochastic gradient ascent machinery.
+"""Projected stochastic gradient ascent.
 
 Maximization convention throughout: steps move *along* the estimated
 gradient (textbook minimization formulations flip the sign).  Iterates are
 kept feasible by Euclidean projection onto a box, which for a box is the
 componentwise clamp.
+
+:func:`optimize` is the one ascent loop.  It runs either Robbins-Monro with
+the rate ``c / (t + 1)`` (``sum a_t = inf``, ``sum a_t^2 < inf``) and
+optional Polyak-Ruppert averaging of the iterates, or AMSGrad without bias
+correction, per the original formulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolationError
+
+EPS_STAB = 1e-8  # keeps the AMSGrad denominator away from zero
 
 
 @dataclass(frozen=True)
@@ -36,69 +43,6 @@ def project(x: np.ndarray, box: BoxDomain) -> np.ndarray:
     if x.shape != box.lower.shape:
         raise ContractViolationError("dimension mismatch in projection")
     return np.clip(x, box.lower, box.upper)
-
-
-@dataclass(frozen=True)
-class RobbinsMonroState:
-    """Robbins-Monro iterate with running sum for Polyak-Ruppert averaging.
-
-    The built-in schedule a_t = c/(t+1) satisfies sum a_t = inf,
-    sum a_t^2 < inf.
-    """
-
-    current: np.ndarray
-    c: float = 5.0
-    t: int = 0
-    iterate_sum: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.iterate_sum is None:
-            object.__setattr__(self, "iterate_sum", np.zeros_like(self.current))
-
-    def rate(self) -> float:
-        return self.c / (self.t + 1)
-
-    @property
-    def polyak_average(self) -> np.ndarray:
-        if self.t == 0:
-            return self.current.copy()
-        return self.iterate_sum / self.t
-
-
-def rm_step(state: RobbinsMonroState, grad: np.ndarray, box: BoxDomain) -> RobbinsMonroState:
-    new = project(state.current + state.rate() * np.asarray(grad), box)
-    return replace(
-        state, current=new, t=state.t + 1, iterate_sum=state.iterate_sum + new
-    )
-
-
-@dataclass(frozen=True)
-class AmsGradState:
-    """AMSGrad moments (no bias correction, per the original formulation)."""
-
-    current: np.ndarray
-    alpha: float = 0.004
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stab: float = 1e-8
-    t: int = 0
-    m: np.ndarray = None        # type: ignore[assignment]
-    v: np.ndarray = None        # type: ignore[assignment]
-    v_hat: np.ndarray = None    # type: ignore[assignment]
-
-    def __post_init__(self):
-        for name in ("m", "v", "v_hat"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.zeros_like(self.current))
-
-
-def amsgrad_step(state: AmsGradState, grad: np.ndarray, box: BoxDomain) -> AmsGradState:
-    g = np.asarray(grad, dtype=float)
-    m = state.beta1 * state.m + (1 - state.beta1) * g
-    v = state.beta2 * state.v + (1 - state.beta2) * g**2
-    v_hat = np.maximum(state.v_hat, v)
-    new = project(state.current + state.alpha * m / (np.sqrt(v_hat) + state.eps_stab), box)
-    return replace(state, current=new, t=state.t + 1, m=m, v=v, v_hat=v_hat)
 
 
 @dataclass(frozen=True)
@@ -130,35 +74,33 @@ def optimize(
     The trace records both the raw iterate and the Polyak-Ruppert average
     (identical to the raw iterate when averaging is off).
     """
-    x0 = project(np.asarray(x0, dtype=float), box)
-    if optimizer == "rm":
-        state = RobbinsMonroState(current=x0, c=rm_c)
-        step = rm_step
-    elif optimizer == "amsgrad":
-        state = AmsGradState(
-            current=x0, alpha=amsgrad_alpha, beta1=amsgrad_beta1, beta2=amsgrad_beta2
-        )
-        step = amsgrad_step
-    else:
+    x = project(np.asarray(x0, dtype=float), box)
+    if optimizer not in ("rm", "amsgrad"):
         raise ContractViolationError(f"unknown optimizer {optimizer!r}")
+    averaging = polyak and optimizer == "rm"
+    x_sum = np.zeros_like(x)
+    m, v, v_hat = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
 
-    def averaged(st) -> np.ndarray:
-        if polyak and isinstance(st, RobbinsMonroState):
-            return st.polyak_average
-        return st.current.copy()
-
-    trace = [TraceRow(0, x0.copy(), averaged(state), 0, float("nan"))]
+    trace = [TraceRow(0, x.copy(), x.copy(), 0, float("nan"))]
     if on_iteration is not None:
         on_iteration(trace[0])
     cost = 0
     for t in range(max_iters):
-        grad, realized = gradient_fn(t, state.current)
-        state = step(state, grad, box)
+        grad, realized = gradient_fn(t, x)
+        if optimizer == "rm":
+            x = project(x + rm_c / (t + 1) * np.asarray(grad), box)
+            x_sum = x_sum + x
+        else:
+            g = np.asarray(grad, dtype=float)
+            m = amsgrad_beta1 * m + (1 - amsgrad_beta1) * g
+            v = amsgrad_beta2 * v + (1 - amsgrad_beta2) * g**2
+            v_hat = np.maximum(v_hat, v)
+            x = project(x + amsgrad_alpha * m / (np.sqrt(v_hat) + EPS_STAB), box)
         cost += realized
         row = TraceRow(
             t + 1,
-            state.current.copy(),
-            averaged(state),
+            x.copy(),
+            x_sum / (t + 1) if averaging else x.copy(),
             cost,
             float(np.linalg.norm(grad)),
         )

@@ -36,9 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import Design, ProblemModel
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .model import LOG_2PI, Design, ProblemModel
 
 
 @dataclass(frozen=True)

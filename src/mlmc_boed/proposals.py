@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Design, ProblemModel
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .model import LOG_2PI, Design, ProblemModel
 
 
 # ---------------------------------------------------------------------------

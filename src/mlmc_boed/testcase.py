@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import Design, ProblemModel
+from .model import LOG_2PI, Design, ProblemModel
 
 # X = R_{>0} is open; the projectable realization keeps xi strictly positive.
 XI_LOWER = 1e-8
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def test_pk_smoke_via_cli(tmp_path):
     {"polyak": "no"},
     {"tau": float("nan")},
     {"rm_c": float("inf"), "n_outer": 64},
+    {"problem": "testcase", "proposal": "laplace", "n_outer": 64},
 ])
 def test_malformed_config_field_is_a_configuration_error(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
@@ -137,6 +138,18 @@ def test_malformed_config_field_is_a_configuration_error(tmp_path, capsys, docum
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "configuration"
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_box_without_interior_is_a_configuration_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lower": [1.0], "upper": [1.0], "xi0": [1.0],
+                                    "max_iters": 2, "n_outer": 64, "eig_n_outer": 64}))
+    rc = run_cli(["optimize", "--config", cfg_path, "--out", tmp_path])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):

@@ -61,6 +61,11 @@ def test_invalid_values_rejected():
         RunConfig(w0=2.0)
     with pytest.raises(ConfigurationError):
         RunConfig(problem="testcase", xi0=[-5.0])  # outside the box
+    with pytest.raises(ConfigurationError):
+        RunConfig(lower=[1.0], upper=[1.0], xi0=[1.0])  # a box with no interior
+    with pytest.raises(ConfigurationError):
+        RunConfig(problem="testcase", proposal="laplace")  # no Laplace-fit hooks
+    assert RunConfig(problem="pk", proposal="laplace").proposal == "laplace"
 
 
 def test_unknown_keys_rejected():

@@ -1,7 +1,10 @@
 """Tests of the level-variance decay diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from test_gradient import FlatLikelihoodModel
 
 from mlmc_boed import (
     ContractViolationError,
@@ -32,6 +35,16 @@ def test_fit_beta_respects_range():
 def test_fit_beta_degenerate_range_is_nan():
     rows = [DecayRow(3, 1.0, 0.25, 10)]
     assert np.isnan(fit_beta(rows, (1, 8)))
+
+
+def test_zero_mean_squares_give_nan_beta_without_a_warning():
+    # every gradient variable of the flat likelihood is exactly zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decay_study(FlatLikelihoodModel(), Design(np.array([2.0])), 4, 50,
+                          LevelWeights(tau=1.5), PriorProposalFactory(), 16)
+    assert all(r.mean_sq_delta == 0.0 for r in rep.rows)
+    assert np.isnan(rep.beta_hat)
 
 
 def test_decay_study_shape_and_determinism():
