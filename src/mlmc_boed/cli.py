@@ -48,11 +48,21 @@ def _fmt(x) -> str:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become configuration errors, which ``main`` reports as JSON."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlmc-boed",
         description="Gradient-based Bayesian experimental design via "
         "debiased multilevel Monte Carlo.",
@@ -275,9 +285,8 @@ _CATEGORY = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigurationError("--threads must be at least 1")
         cfg = load_config(args)

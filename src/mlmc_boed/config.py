@@ -94,8 +94,10 @@ class RunConfig:
         for name in ("inner_m", "n_outer", "eig_every", "eig_n_outer", "samples_per_level"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
-        if self.max_iters < 0 or self.seed < 0:
-            raise ConfigurationError("max_iters and seed must be nonnegative")
+        if self.max_iters < 0:
+            raise ConfigurationError("max_iters must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("seed must be a 64-bit unsigned integer, in [0, 2**64)")
         if self.levels < 2:
             raise ConfigurationError("levels must be at least 2 (beta_hat needs two levels)")
         # Validate m0/tau/w0, the bound/initial-design shapes and the box

@@ -11,6 +11,14 @@ with ``g(xi) = exp(-xi^2 / 2)`` and ``h(xi) = sqrt(3/2 * (1 - exp(-xi^2)))``.
 The expected information gain and its Jensen upper bound are available in
 closed form, which makes this problem the main verification vehicle for the
 gradient estimators (see :mod:`mlmc_boed.eig`).
+
+``TestCaseProblem.loglik_score`` works in place: the outer-only terms are
+formed once per outer row, each channel is updated with ``out=`` in the
+log buffer of the inner samples and in the two output buffers, and the two
+channels are joined by one add.  The order of the floating-point operations
+on each entry is fixed, the same as in the direct formula, so that every
+output of the test case keeps its exact bits; reassociating it (say, forming
+the channel sums with a matrix product) would change the last bits.
 """
 
 from __future__ import annotations
@@ -68,7 +76,8 @@ class TestCaseProblem(ProblemModel):
     # -- prior --------------------------------------------------------------
     def sample_prior(self, rng, n):
         p = self.params
-        return np.exp(rng.normal(p.mu, p.sigma0, size=(n, 2)))
+        z = rng.normal(p.mu, p.sigma0, size=(n, 2))
+        return np.exp(z, out=z)
 
     def sample_noise(self, rng, n):
         return rng.standard_normal((n, 2))
@@ -113,17 +122,35 @@ class TestCaseProblem(ProblemModel):
         self._check_dims(design, theta, eps)
         p = self.params
         c, cp = self._gains(design)
-        lt = np.log(theta)[:, None, :]           # (n, 1, 2)
-        lti = np.log(theta_inner)                # (n, M, 2)
-        log_y = c * lt + p.sigma_eps * eps[:, None, :]
-        resid = log_y - c * lti                  # log y - c * log theta'
         var = p.sigma_eps**2
-        log_rho = (-log_y - 0.5 * LOG_2PI - np.log(p.sigma_eps)
-                   - resid**2 / (2 * var)).sum(axis=-1)
-        # total d/dxi: Jacobian term -c' log(theta) plus the residual term.
-        diff = lt - lti
-        per_channel = -cp * lt - cp * diff * resid / var
-        score = per_channel.sum(axis=-1, keepdims=True)  # d = 1
+        # Outer-only terms, once per outer row: (n, 1, 2).
+        lt = np.log(theta)[:, None, :]
+        log_y = c * lt + p.sigma_eps * eps[:, None, :]
+        const = -log_y - 0.5 * LOG_2PI - np.log(p.sigma_eps)
+        jac = -cp * lt                           # Jacobian term -c' log(theta)
+        # One channel at a time, so no loop runs along the length-2 axis.
+        # Channel 0 works in the two output buffers; channel 1 in its own
+        # log theta' slots and in channel 0's, which are spent by then.
+        lti = np.log(theta_inner)                # (n, M, 2)
+        log_rho = np.empty(lti.shape[:-1])
+        score = np.empty(lti.shape[:-1])
+        for k, resid, diff in ((0, log_rho, score), (1, lti[..., 1], lti[..., 0])):
+            li = lti[..., k]
+            np.subtract(lt[..., k], li, out=diff)
+            np.multiply(li, c[k], out=resid)
+            np.subtract(log_y[..., k], resid, out=resid)  # log y - c log theta'
+            # Score: total d/dxi, the Jacobian term minus the residual term.
+            diff *= cp[k]
+            diff *= resid
+            diff /= var
+            np.subtract(jac[..., k], diff, out=diff)
+            # Log-likelihood: the constant minus the squared residual term.
+            np.square(resid, out=resid)
+            resid /= 2 * var
+            np.subtract(const[..., k], resid, out=resid)
+        log_rho += lti[..., 1]
+        score += lti[..., 0]
+        score = score[..., None]                 # d = 1
         if not np.all(np.isfinite(log_rho)):
             raise NumericalDomainError(
                 "non-finite log-likelihood", design=design.values, theta=theta, eps=eps

@@ -162,6 +162,56 @@ def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_beyond_64_bits_is_a_configuration_error(tmp_path, capsys, source):
+    args = ["optimize", "--iters", "2", "--n-outer", "32", "--out", tmp_path]
+    if source == "flag":
+        args += ["--seed", "99999999999999999999999"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": 18446744073709551616}')
+        args += ["--config", cfg_path]
+    rc = run_cli(args)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_largest_64_bit_seed_is_accepted(tmp_path):
+    rc = run_cli(["eig", "--seed", str(2**64 - 1), "--n-outer", "32", "--out", tmp_path])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--seed", "abc"],
+    ["eig", "--xi0", "1,a"],
+    ["eig", "--no-such-flag"],
+    ["eig", "--problem", "nope"],
+    [],
+])
+def test_usage_error_is_one_json_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)] if argv else argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "configuration"
+    assert "_parse_floats" not in err["message"]
+    assert not out.exists()
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mlmc-boed eig")
+
+
 def test_zero_threads_is_a_configuration_error(tmp_path, capsys):
     rc = run_cli(["eig", "--threads", "0", "--n-outer", "32", "--out", tmp_path])
     assert rc == 2
