@@ -24,22 +24,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, default_config
+from .config import ESTIMATORS, OPTIMIZERS, PROBLEMS, PROPOSALS, RunConfig, default_config
 from .decay import decay_study
-from .eig import eig_nested, eig_unbiased_mlmc
+from .eig import eig_unbiased_mlmc
 from .errors import (
     ConfigurationError,
     ContractViolationError,
     DomainError,
     NumericalDomainError,
 )
-from .gradient import standard_gradient, unbiased_gradient
+from .gradient import unbiased_gradient
+from .levels import LevelWeights
 from .optim import optimize
-from .rng import PHASE_EIG, PHASE_OPTIMIZE, chunk_sizes
+from .rng import PHASE_OPTIMIZE, chunk_sizes
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
+
+# The estimators each subcommand runs; decay has no fixed-M form and eig no
+# naive coupling, so either setting would be silently replaced.
+ACCEPTED_ESTIMATORS = {"decay": ("mlmc", "mlmc-naive"), "optimize": ESTIMATORS,
+                       "eig": ("stdmc", "mlmc")}
 
 
 def _fmt(x) -> str:
@@ -81,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "inner batches, e.g. eig --estimator stdmc --inner-m 256)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV/JSON artifacts")
-        p.add_argument("--problem", choices=("testcase", "pk"))
-        p.add_argument("--estimator", choices=("stdmc", "mlmc", "mlmc-naive"))
+        p.add_argument("--problem", choices=PROBLEMS)
+        p.add_argument("--estimator", choices=ESTIMATORS)
         p.add_argument("--tau", type=float)
         p.add_argument("--m0", type=int)
         p.add_argument("--w0", type=float)
         p.add_argument("--inner-m", type=int, dest="inner_m")
-        p.add_argument("--proposal", choices=("prior", "laplace"))
-        p.add_argument("--optimizer", choices=("rm", "amsgrad"))
+        p.add_argument("--proposal", choices=PROPOSALS)
+        p.add_argument("--optimizer", choices=OPTIMIZERS)
         p.add_argument("--lr", type=float,
                        help="step-size constant (RM c, or AMSGrad alpha)")
         p.add_argument("--n-outer", type=int, dest="n_outer")
@@ -108,14 +114,8 @@ def load_config(args) -> RunConfig:
             cfg = default_config(args.problem).with_overrides(seed=cfg.seed)
     else:
         cfg = default_config(args.problem or "testcase")
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "estimator", "tau", "m0", "w0", "inner_m", "proposal", "optimizer",
-            "n_outer", "max_iters", "seed", "eig_every", "levels",
-            "samples_per_level", "xi0",
-        )
-    }
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in RunConfig.__dataclass_fields__}
     if args.lr is not None:
         key = "rm_c" if (overrides.get("optimizer") or cfg.optimizer) == "rm" \
             else "amsgrad_alpha"
@@ -123,17 +123,27 @@ def load_config(args) -> RunConfig:
     return cfg.with_overrides(**overrides)
 
 
-def _eig_at(cfg: RunConfig, model, design, threads: int, base_index: int = 0):
-    factory = cfg.make_proposal_factory()
+def _weights(cfg: RunConfig) -> LevelWeights:
+    """Level distribution of the configured estimator: the fixed-M nested
+    estimator ("stdmc") is the point mass at level 0 with ``m0 = inner_m``."""
     if cfg.estimator == "stdmc":
-        return eig_nested(
-            model, design, cfg.eig_n_outer, cfg.inner_m, factory, cfg.seed,
-            threads=threads, base_index=base_index,
-        )
+        return LevelWeights(m0=cfg.inner_m, w0_override=1.0)
+    return cfg.make_weights()
+
+
+def _eig_at(cfg: RunConfig, model, design, n_outer: int, threads: int, base_index: int = 0):
     return eig_unbiased_mlmc(
-        model, design, cfg.eig_n_outer, cfg.make_weights(), factory, cfg.seed,
+        model, design, n_outer, _weights(cfg), cfg.make_proposal_factory(), cfg.seed,
         threads=threads, base_index=base_index,
     )
+
+
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.name
 
 
 # ---------------------------------------------------------------------------
@@ -148,55 +158,40 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
         cfg.make_proposal_factory(), cfg.seed,
         antithetic=(cfg.estimator != "mlmc-naive"), threads=threads,
     )
-    csv_path = out_dir / "decay.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "mean_sq_psi", "mean_sq_delta", "n"])
-        for row in report.rows:
-            writer.writerow(
-                [row.level, _fmt(row.mean_sq_psi), _fmt(row.mean_sq_delta), row.n_samples]
-            )
-    summary = {
+    csv_name = _write_csv(
+        out_dir / "decay.csv", ["level", "mean_sq_psi", "mean_sq_delta", "n"],
+        ([row.level, _fmt(row.mean_sq_psi), _fmt(row.mean_sq_delta), row.n_samples]
+         for row in report.rows),
+    )
+    print(f"beta_hat = {report.beta_hat:.4f} "
+          f"(fit over levels {report.fit_range[0]}..{report.fit_range[1]}"
+          f"{'' if report.reliable else ', UNRELIABLE: too few samples'})")
+    return {
         "beta_hat": report.beta_hat,
         "fit_range": list(report.fit_range),
         "reliable": report.reliable,
         "levels": cfg.levels,
         "samples_per_level": cfg.samples_per_level,
-        "csv": csv_path.name,
+        "csv": csv_name,
     }
-    (out_dir / "decay.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"beta_hat = {report.beta_hat:.4f} "
-          f"(fit over levels {report.fit_range[0]}..{report.fit_range[1]}"
-          f"{'' if report.reliable else ', UNRELIABLE: too few samples'})")
-    print(json.dumps(summary, sort_keys=True))
-    return summary
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     model = cfg.make_model()
     base = cfg.make_design()
     box = cfg.make_box()
-    weights = cfg.make_weights() if cfg.estimator != "stdmc" else None
+    weights = _weights(cfg)
     factory = cfg.make_proposal_factory()
     chunks_per_iter = len(chunk_sizes(cfg.n_outer))
 
     def gradient_fn(t: int, values: np.ndarray):
         design = base.replace(values)
-        if cfg.estimator == "stdmc":
-            est = standard_gradient(
-                model, design, cfg.n_outer, cfg.inner_m, factory, cfg.seed,
-                threads=threads, phase=PHASE_OPTIMIZE,
-                base_index=t * chunks_per_iter,
-            )
-        else:
-            est = unbiased_gradient(
-                model, design, cfg.n_outer, weights, factory, cfg.seed,
-                threads=threads, phase=PHASE_OPTIMIZE,
-                base_index=t * chunks_per_iter,
-                antithetic=(cfg.estimator == "mlmc"),
-            )
+        est = unbiased_gradient(
+            model, design, cfg.n_outer, weights, factory, cfg.seed,
+            threads=threads, phase=PHASE_OPTIMIZE,
+            base_index=t * chunks_per_iter,
+            antithetic=(cfg.estimator != "mlmc-naive"),
+        )
         return est.grad, est.total_cost
 
     trace = optimize(
@@ -218,59 +213,46 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     )
     for k, t in enumerate(eval_points):
         design_t = base.replace(trace[t].polyak)
-        est = _eig_at(cfg, model, design_t, threads, base_index=k * eig_chunks)
+        est = _eig_at(cfg, model, design_t, cfg.eig_n_outer, threads,
+                      base_index=k * eig_chunks)
         eig_values[t] = est.value
 
     d = base.dim
-    csv_path = out_dir / "trace.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (["t", "cost_cumulative"]
-                  + [f"design_{j + 1}" for j in range(d)]
-                  + [f"polyak_{j + 1}" for j in range(d)]
-                  + ["grad_norm", "eig_periodic"])
-        writer.writerow(header)
-        for row in trace:
-            eig_cell = _fmt(eig_values[row.t]) if row.t in eig_values else ""
-            writer.writerow(
-                [row.t, row.cost_cumulative]
-                + [_fmt(v) for v in row.design]
-                + [_fmt(v) for v in row.polyak]
-                + [_fmt(row.grad_norm) if np.isfinite(row.grad_norm) else "", eig_cell]
-            )
-
+    csv_name = _write_csv(
+        out_dir / "trace.csv",
+        (["t", "cost_cumulative"]
+         + [f"design_{j + 1}" for j in range(d)]
+         + [f"polyak_{j + 1}" for j in range(d)]
+         + ["grad_norm", "eig_periodic"]),
+        ([row.t, row.cost_cumulative]
+         + [_fmt(v) for v in row.design]
+         + [_fmt(v) for v in row.polyak]
+         + [_fmt(row.grad_norm) if np.isfinite(row.grad_norm) else "",
+            _fmt(eig_values[row.t]) if row.t in eig_values else ""]
+         for row in trace),
+    )
     final = trace[-1]
-    summary = {
+    return {
         "final_design": [float(v) for v in final.design],
         "polyak_average": [float(v) for v in final.polyak],
         "total_cost": final.cost_cumulative,
         "iterations": cfg.max_iters,
         "final_eig": eig_values[final.t],
-        "csv": csv_path.name,
+        "csv": csv_name,
     }
-    (out_dir / "optimize.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(summary, sort_keys=True))
-    return summary
 
 
 def cmd_eig(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     model = cfg.make_model()
     design = cfg.make_design()
-    est = _eig_at(cfg.with_overrides(eig_n_outer=cfg.n_outer), model, design, threads)
-    summary = {
+    est = _eig_at(cfg, model, design, cfg.n_outer, threads)
+    return {
         "design": [float(v) for v in design.values],
         "eig": est.value,
         "std_error": est.std_error,
         "n_outer": est.n_outer,
         "total_inner_cost": est.total_inner_cost,
     }
-    (out_dir / "eig.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(summary, sort_keys=True))
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigurationError("--threads must be at least 1")
         cfg = load_config(args)
+        accepted = ACCEPTED_ESTIMATORS[args.command]
+        if cfg.estimator not in accepted:
+            raise ConfigurationError(f"{args.command} runs the estimators "
+                                     f"{', '.join(accepted)}, not {cfg.estimator!r}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigurationError, ValueError, OSError) as exc:
@@ -299,7 +285,11 @@ def main(argv: list[str] | None = None) -> int:
 
     handler = {"decay": cmd_decay, "optimize": cmd_optimize, "eig": cmd_eig}[args.command]
     try:
-        handler(cfg, out_dir, args.threads)
+        summary = handler(cfg, out_dir, args.threads)
+        (out_dir / f"{args.command}.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(json.dumps(summary, sort_keys=True))
     except Exception as exc:
         category = "internal"
         for klass, name in _CATEGORY.items():

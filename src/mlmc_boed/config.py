@@ -5,7 +5,8 @@ back as a fixed point, and carries defaults that reproduce the benchmark
 settings of the two bundled problems (lognormal test case: Robbins-Monro
 with Polyak averaging from xi0 = 1.5; pharmacokinetic model: AMSGrad from
 the equispaced 15-point schedule on [0, 24] with the 0.9 level-0 weight
-override and Laplace proposals).
+override and Laplace proposals).  A document's omitted fields take its own
+problem's defaults.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class RunConfig:
             raise ConfigurationError("seed must be a 64-bit unsigned integer, in [0, 2**64)")
         if self.levels < 2:
             raise ConfigurationError("levels must be at least 2 (beta_hat needs two levels)")
+        for name in ("rm_c", "amsgrad_alpha"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+        for name in ("amsgrad_beta1", "amsgrad_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must lie in [0, 1)")
         # Validate m0/tau/w0, the bound/initial-design shapes and the box
         # (built from the design) eagerly.
         self.make_weights()
@@ -151,11 +158,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The document over its problem's defaults: an omitted field takes
+        the value ``default_config`` gives it."""
         valid = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - valid
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return replace(default_config(data.get("problem", "testcase")), **data)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -176,35 +185,16 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def default_config(problem: str) -> RunConfig:
-    """Benchmark settings for each bundled problem."""
+    """Benchmark settings for each bundled problem: what it changes from the
+    ``RunConfig`` field defaults."""
     if problem == "testcase":
-        return RunConfig(
-            problem="testcase",
-            estimator="mlmc",
-            tau=1.5,
-            m0=1,
-            proposal="prior",
-            optimizer="rm",
-            rm_c=5.0,
-            polyak=True,
-            n_outer=2000,
-            max_iters=10_000,
-            xi0=[1.5],
-            lower=[XI_LOWER],
-            upper=[10.0],
-        )
+        return RunConfig(xi0=[1.5], lower=[XI_LOWER], upper=[10.0])
     if problem == "pk":
         return RunConfig(
             problem="pk",
-            estimator="mlmc",
-            tau=1.5,
-            m0=1,
             w0=0.9,
             proposal="laplace",
             optimizer="amsgrad",
-            amsgrad_alpha=0.004,
-            n_outer=2000,
-            max_iters=10_000,
             xi0=[float(j) for j in range(1, 16)],
             lower=[0.0] * 15,
             upper=[24.0] * 15,

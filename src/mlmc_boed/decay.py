@@ -2,8 +2,8 @@
 
 Estimates the expected squared l2-norms of the fine-level psi variable and
 of the multilevel correction variable at each level, and fits the decay
-exponent beta_hat by least squares of log2 E||delta_psi_l||^2 on l over a
-configurable range.
+exponent beta_hat by least squares of log2 E||delta_psi_l||^2 on l over
+levels 1 .. levels - 1.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def decay_study(
     seed: int,
     *,
     antithetic: bool = True,
-    fit_range: tuple[int, int] | None = None,
     threads: int = 1,
 ) -> DecayReport:
     """Empirical mean squares of psi_{M_l} and delta_psi_l for l = 0..levels-1.
@@ -90,11 +89,11 @@ def decay_study(
         return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
 
     rows = [row(lvl) for lvl in range(levels)]
-    rng_fit = fit_range or (1, levels - 1)
-    beta = fit_beta(rows, rng_fit)
+    fit_range = (1, levels - 1)
+    beta = fit_beta(rows, fit_range)
     return DecayReport(
         rows=rows,
         beta_hat=beta,
-        fit_range=rng_fit,
+        fit_range=fit_range,
         reliable=samples_per_level >= 100,
     )

@@ -88,7 +88,8 @@ class ProblemModel:
         raise NotImplementedError
 
     def prior_logpdf_derivs(self, theta: np.ndarray):
-        """Return ``(logpdf, grad, hess)`` of the prior log-density.
+        """Return ``(logpdf, grad, hess)`` of the prior log-density (a hook
+        of the Laplace fit, so only a model with ``observation_derivs`` has it).
 
         ``theta`` has shape ``(..., s)``; the outputs have shapes ``(...,)``,
         ``(..., s)`` and ``(..., s, s)``.

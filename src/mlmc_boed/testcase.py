@@ -91,21 +91,6 @@ class TestCaseProblem(ProblemModel):
         lp = np.where(theta > 0, lp, -np.inf)
         return lp.sum(axis=-1)
 
-    def prior_logpdf_derivs(self, theta):
-        p = self.params
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta <= 0):
-            raise DomainError("lognormal prior support is theta > 0")
-        lt = np.log(theta)
-        logpdf = self.prior_logpdf(theta)
-        z = (lt - p.mu) / p.sigma0**2
-        grad = (-1.0 - z) / theta
-        hess_diag = (1.0 + z - 1.0 / p.sigma0**2) / theta**2
-        hess = np.zeros(theta.shape + (2,))
-        idx = np.arange(2)
-        hess[..., idx, idx] = hess_diag
-        return logpdf, grad, hess
-
     # -- forward model --------------------------------------------------------
     def _gains(self, design: Design):
         xi = float(design.values[0])

@@ -137,12 +137,11 @@ def test_criterion_05_correction_variance_decay():
     for label, xi in (("1.5", 1.5), ("optimum", testcase_optimal_design())):
         rep = decay_study(
             model, Design(np.array([xi])), 9, 10_000, w, factory, seed=14,
-            fit_range=(1, 8),
         )
         betas[label] = rep.beta_hat
     rep_naive = decay_study(
         model, Design(np.array([1.5])), 9, 10_000, w, factory, seed=14,
-        antithetic=False, fit_range=(1, 8),
+        antithetic=False,
     )
     in_band = all(1.3 <= b <= 2.0 for b in betas.values())
     margin = betas["1.5"] - rep_naive.beta_hat

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mlmc_boed.cli import main
+from mlmc_boed import RunConfig
+from mlmc_boed.cli import build_parser, main
 
 
 def run_cli(args):
@@ -128,6 +129,11 @@ def test_pk_smoke_via_cli(tmp_path):
     {"tau": float("nan")},
     {"rm_c": float("inf"), "n_outer": 64},
     {"problem": "testcase", "proposal": "laplace", "n_outer": 64},
+    {"rm_c": -5.0, "n_outer": 32},
+    {"problem": "pk", "optimizer": "amsgrad", "amsgrad_beta1": 5.0, "amsgrad_beta2": -3.0,
+     "n_outer": 64},
+    {"problem": "pk", "amsgrad_alpha": 0.0, "n_outer": 64},
+    {"problem": "pk", "amsgrad_beta2": 1.0, "n_outer": 64},
 ])
 def test_malformed_config_field_is_a_configuration_error(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
@@ -262,3 +268,46 @@ def test_fewer_than_two_decay_levels_is_a_configuration_error(tmp_path, capsys, 
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "configuration"
     assert not (tmp_path / "decay.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,estimator", [
+    ("eig", "mlmc-naive"),   # eig has no naive coupling
+    ("decay", "stdmc"),      # decay has no fixed-M form
+])
+def test_estimator_a_subcommand_would_replace_is_a_configuration_error(
+        tmp_path, capsys, command, estimator, source):
+    out = tmp_path / "out"
+    args = [command, "--n-outer", "32", "--levels", "2", "--samples-per-level", "8",
+            "--out", out]
+    if source == "flag":
+        args += ["--estimator", estimator, "--inner-m", "4"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"estimator": estimator, "inner_m": 4}))
+        args += ["--config", cfg_path]
+    rc = run_cli(args)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "configuration" and repr(estimator) in err["message"]
+    assert not out.exists()
+
+
+def test_config_naming_a_problem_runs_with_that_problems_defaults(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": "pk", "seed": 5, "n_outer": 300}))
+    assert run_cli(["eig", "--config", cfg_path, "--out", tmp_path / "config"]) == 0
+    assert run_cli(["eig", "--problem", "pk", "--seed", "5", "--n-outer", "300",
+                    "--out", tmp_path / "flags"]) == 0
+    assert (tmp_path / "config" / "eig.json").read_bytes() == \
+        (tmp_path / "flags" / "eig.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decay", "optimize", "eig"])
+def test_every_parser_dest_is_a_config_field_or_cli_only(command):
+    # load_config sets each config field whose name is a parser dest.
+    dests = set(vars(build_parser().parse_args([command])))
+    cli_only = {"command", "config", "threads", "out", "lr"}
+    assert dests - cli_only <= set(RunConfig.__dataclass_fields__)

@@ -26,6 +26,12 @@ def test_round_trip_is_fixed_point():
         assert again.to_json() == text
 
 
+def test_document_naming_only_a_problem_is_its_default_config():
+    assert RunConfig.from_json('{"problem": "pk"}') == default_config("pk")
+    assert RunConfig.from_json('{"problem": "testcase"}') == default_config("testcase")
+    assert RunConfig.from_json("{}") == default_config("testcase")
+
+
 def test_defaults_testcase():
     cfg = default_config("testcase")
     assert cfg.optimizer == "rm" and cfg.rm_c == 5.0 and cfg.polyak
@@ -77,6 +83,12 @@ def test_invalid_values_rejected():
         RunConfig(lower=[1.0], upper=[1.0], xi0=[1.0])  # a box with no interior
     with pytest.raises(ConfigurationError):
         RunConfig(problem="testcase", proposal="laplace")  # no Laplace-fit hooks
+    for bad in (dict(rm_c=0.0), dict(rm_c=-5.0), dict(amsgrad_alpha=0.0),
+                dict(amsgrad_beta1=1.0), dict(amsgrad_beta1=-0.1), dict(amsgrad_beta2=1.0),
+                dict(amsgrad_beta2=-3.0)):
+        with pytest.raises(ConfigurationError):
+            RunConfig(**bad)
+    assert RunConfig(amsgrad_beta1=0.0, amsgrad_beta2=0.0).amsgrad_beta1 == 0.0
     assert RunConfig(problem="pk", proposal="laplace").proposal == "laplace"
 
 
@@ -186,6 +198,10 @@ def malformed_documents(draw):
 def test_valid_document_round_trips(doc):
     cfg = RunConfig.from_json(json.dumps(doc))
     assert {name: getattr(cfg, name) for name in doc} == doc
+    default = default_config(doc["problem"])
+    omitted = set(RunConfig.__dataclass_fields__) - set(doc)
+    assert {name: getattr(cfg, name) for name in omitted} == \
+        {name: getattr(default, name) for name in omitted}
     text = cfg.to_json()
     again = RunConfig.from_json(text)
     assert again == cfg

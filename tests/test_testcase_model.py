@@ -5,7 +5,6 @@ import pytest
 
 from mlmc_boed import (
     Design,
-    DomainError,
     TestCaseProblem,
     gain_g,
     gain_h,
@@ -42,26 +41,6 @@ def test_prior_logpdf_value(model):
 def test_prior_logpdf_outside_support(model):
     lp = model.prior_logpdf(np.array([[1.0, -1.0]]))
     assert lp[0] == -np.inf
-
-
-def test_prior_derivs_match_finite_differences(model):
-    theta = np.array([[0.7, 2.3], [1.1, 0.4]])
-    _, grad, hess = model.prior_logpdf_derivs(theta)
-    e = 1e-6
-    for j in range(2):
-        tp, tm = theta.copy(), theta.copy()
-        tp[:, j] += e
-        tm[:, j] -= e
-        fd = (model.prior_logpdf(tp) - model.prior_logpdf(tm)) / (2 * e)
-        assert np.allclose(grad[:, j], fd, rtol=1e-5)
-        _, gp, _ = model.prior_logpdf_derivs(tp)
-        _, gm, _ = model.prior_logpdf_derivs(tm)
-        assert np.allclose(hess[:, j, :], (gp - gm) / (2 * e), rtol=1e-4, atol=1e-8)
-
-
-def test_prior_derivs_reject_nonpositive(model):
-    with pytest.raises(DomainError):
-        model.prior_logpdf_derivs(np.array([[1.0, 0.0]]))
 
 
 def test_prior_sampling_moments(model):
