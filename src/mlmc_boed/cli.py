@@ -46,6 +46,10 @@ EXIT_CONFIG = 2
 # naive coupling, so either setting would be silently replaced.
 ACCEPTED_ESTIMATORS = {"decay": ("mlmc", "mlmc-naive"), "optimize": ESTIMATORS,
                        "eig": ("stdmc", "mlmc")}
+# Flags that an estimator never reads; given on the command line, they would
+# change nothing.
+UNREAD_FLAGS = {"stdmc": ("tau", "m0", "w0"), "mlmc": ("inner_m",),
+                "mlmc-naive": ("inner_m",)}
 
 
 def _fmt(x) -> str:
@@ -111,7 +115,8 @@ def load_config(args) -> RunConfig:
     if args.config is not None:
         cfg = RunConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
         if args.problem is not None and args.problem != cfg.problem:
-            cfg = default_config(args.problem).with_overrides(seed=cfg.seed)
+            raise ConfigurationError(f"--problem {args.problem!r} differs from the "
+                                     f"config document's problem {cfg.problem!r}")
     else:
         cfg = default_config(args.problem or "testcase")
     overrides = {name: value for name, value in vars(args).items()
@@ -276,6 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.estimator not in accepted:
             raise ConfigurationError(f"{args.command} runs the estimators "
                                      f"{', '.join(accepted)}, not {cfg.estimator!r}")
+        unread = [f"--{name.replace('_', '-')}" for name in UNREAD_FLAGS[cfg.estimator]
+                  if getattr(args, name) is not None]
+        if unread:
+            raise ConfigurationError(f"the estimator {cfg.estimator!r} does not read "
+                                     f"{', '.join(unread)}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigurationError, ValueError, OSError) as exc:

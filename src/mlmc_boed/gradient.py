@@ -8,12 +8,12 @@
 
 All of these, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk draws its levels first (a point
-mass draws nothing), then per level group in increasing level order its
-outer samples, one proposal fit and its inner samples.  The likelihood is
-evaluated once per chunk, and one segmented reduction forms every half-batch
-sum under its own max shift (inner averages are self-normalized, immune to
-underflow).  Each chunk owns a deterministic RNG sub-stream, so results are
-bit-reproducible for a fixed master seed no matter how many workers are used.
+mass draws nothing), then all its outer samples sorted by level, then makes
+one proposal fit and one inner draw.  The likelihood is evaluated once per
+chunk, and one segmented reduction forms every half-batch sum under its own
+max shift (inner averages are self-normalized, immune to underflow).  Each
+chunk owns a deterministic RNG sub-stream, so results are bit-reproducible
+for a fixed master seed no matter how many workers are used.
 """
 
 from __future__ import annotations
@@ -102,46 +102,57 @@ def _chunk_variables(
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), ``psi`` the fine-level psi
-    variable (``None`` unless ``with_psi``).  One ``loglik_score`` call uses
-    the ``(n, M)`` shape when all samples share one ``M``, else the ``(N, 1)``
-    shape with outer rows repeated; without ``scored`` its scores are dropped
-    and the variables are log mean likelihoods.
+    variable (``None`` unless ``with_psi``, which needs a single level).
+    The outer samples are drawn in one call, sorted by level.  The one
+    proposal fit takes a level-``l`` sample as ``2**(l - l_min)`` equal rows,
+    and the one inner draw gives each row ``m0 * 2**l_min`` samples, so a
+    sample's rows hold its inner samples, first half first.  One
+    ``loglik_score`` call uses the ``(n, M)`` shape when all samples share
+    one ``M``, else the ``(N, 1)`` shape with outer rows repeated; without
+    ``scored`` its scores are dropped and the variables are log mean
+    likelihoods.
     """
     lv, counts = np.unique(levels, return_counts=True)
+    if with_psi and lv.size > 1:
+        raise ContractViolationError("the fine-level psi needs a single level per chunk")
     m = m0 * 2**lv
     split = lv > 0
     has_self = ~split | with_psi
-    thetas, epss, inners, corrs = [], [], [], []
-    n_fallback = 0
-    for n_g, m_g, self_g in zip(counts.tolist(), m.tolist(), has_self.tolist()):
-        theta, eps, y = _draw_outer(model, design, n_g, rng)
-        fitted = proposal_factory.fit(model, design, theta, eps, y)
-        theta_in, corr = fitted.sample_inner(rng, m_g)
-        n_fallback += fitted.n_fallback
-        if self_g:
-            theta_in = np.concatenate([theta[:, None, :], theta_in], axis=1)
-            corr = np.concatenate([np.zeros((n_g, 1)), corr], axis=1)
-        thetas.append(theta)
-        epss.append(eps)
-        inners.append(theta_in)
-        corrs.append(corr.ravel())
+    theta, eps, y = _draw_outer(model, design, levels.size, rng)
+    reps = np.repeat(2 ** (lv - lv[0]), counts)
+    fitted = proposal_factory.fit(
+        model, design, *(np.repeat(a, reps, axis=0) for a in (theta, eps, y)))
+    theta_in, corr = fitted.sample_inner(rng, int(m[0]))
 
-    if len(inners) == 1:
-        log_rho, scores = model.loglik_score(design, thetas[0], epss[0], inners[0])
+    # Only the first level group can have self rows (level 0, or the single
+    # level of a ``with_psi`` chunk): they go before each sample's inner rows.
+    # Rebinding ``theta_in`` and ``corr`` frees the draws before the likelihood
+    # call, so its arrays can reuse their memory.
+    n0 = int(counts[0])
+    if has_self[0]:
+        head = np.concatenate([theta[:n0, None, :], theta_in[:n0]], axis=1)
+        head_corr = np.concatenate([np.zeros((n0, 1)), corr[:n0]], axis=1)
+        if lv.size == 1:
+            theta_in, corr = head, head_corr
+        else:
+            theta_in = np.concatenate([head.reshape(-1, model.s),
+                                       theta_in[n0:].reshape(-1, model.s)])
+            corr = np.concatenate([head_corr.ravel(), corr[n0:].ravel()])
+    if lv.size == 1:
+        log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
     else:
         rep = np.repeat(m + has_self, counts)
-        theta_in = np.concatenate([t.reshape(-1, model.s) for t in inners])
         log_rho, scores = model.loglik_score(
-            design, np.repeat(np.concatenate(thetas), rep, axis=0),
-            np.repeat(np.concatenate(epss), rep, axis=0), theta_in[:, None, :])
-    log_w = log_rho.ravel() + np.concatenate(corrs)
+            design, np.repeat(theta, rep, axis=0), np.repeat(eps, rep, axis=0),
+            theta_in.reshape(-1, 1, model.s))
+    log_w = log_rho.ravel() + corr.ravel()
     scores = scores.reshape(log_w.size, -1) if scored else None
 
     delta, psi = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
-    # Back from group order to the order of ``levels``.
+    # Back from level order to the order of ``levels``.
     order = np.argsort(levels, kind="stable")
     delta[order], psi[order] = delta.copy(), psi.copy()
-    return delta, (psi if with_psi else None), n_fallback
+    return delta, (psi if with_psi else None), fitted.n_fallback
 
 
 def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK_SIZE):

@@ -24,6 +24,23 @@ from .errors import ContractViolationError
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def equal_runs(*rows):
+    """``(starts, lengths)`` of the runs of equal consecutive rows.
+
+    Row ``i`` continues the run of row ``i - 1`` when it equals that row in
+    every one of the ``(n, k)`` arrays ``rows``.  Estimators repeat an outer
+    sample's row once per inner row or block of inner rows, so a batch of
+    outer rows is mostly such runs and per-outer work can be done once each.
+    """
+    n = rows[0].shape[0]
+    first = np.zeros(n, dtype=bool)
+    first[:1] = True
+    for a in rows:
+        first[1:] |= (a[1:] != a[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=n)
+
+
 @dataclass(frozen=True)
 class Design:
     """A point in the design space with its box-feasible domain.

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import LOG_2PI, Design, ProblemModel
+from .model import LOG_2PI, Design, ProblemModel, equal_runs
 
 
 @dataclass(frozen=True)
@@ -284,10 +284,7 @@ class PkProblem(ProblemModel):
         e1, e2 = self._split_noise(eps)
         # On the ragged (N, 1) layout each outer row repeats once per inner
         # row: evaluate the outer response once per run of equal rows.
-        first = np.ones(theta.shape[0], dtype=bool)
-        first[1:] = (theta[1:] != theta[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        runs = np.diff(starts, append=theta.shape[0])
+        starts, runs = equal_runs(theta)
         y, dy = (np.repeat(a, runs, axis=0)
                  for a in _mean_and_slope(theta[starts], design.values, p.dose))
         dy *= 1.0 + e1                                     # d y_j / d xi_j

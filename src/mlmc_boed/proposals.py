@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import LOG_2PI, Design, ProblemModel
+from .model import LOG_2PI, Design, ProblemModel, equal_runs
 
 
 # ---------------------------------------------------------------------------
@@ -42,35 +42,37 @@ class FittedPrior:
 
 
 class FittedGaussian:
-    """Per-outer-sample Gaussian proposals N(mean_i, cov_i).
+    """Gaussian proposals N(mean_k, cov_k), one per run of ``runs[k]`` rows.
 
-    Rows flagged in ``fallback`` sample from the prior instead (their
-    importance correction is exactly zero).
+    A run is one outer sample, passed to the fit as consecutive equal rows;
+    every row gets its own ``m`` inner samples.  Runs flagged in
+    ``fallback`` sample every row from the prior instead (their importance
+    correction is exactly zero), and ``n_fallback`` counts those runs.
     """
 
-    def __init__(self, model, means, chols, fallback=None):
+    def __init__(self, model, means, chols, fallback, runs):
         self.model = model
-        self.n = means.shape[0]
         self.means = means
-        self.chols = chols  # lower Cholesky factors, (n, s, s)
-        self.fallback = (
-            fallback if fallback is not None else np.zeros(self.n, dtype=bool)
-        )
-        self.n_fallback = int(self.fallback.sum())
+        self.chols = chols  # lower Cholesky factors, one (s, s) per run
+        self.fallback = fallback
+        self.runs = runs
+        self.n = int(runs.sum())
+        self.n_fallback = int(fallback.sum())
 
     def sample_inner(self, rng, m: int):
         s = self.model.s
         z = rng.standard_normal((self.n, m, s))
-        theta = self.means[:, None, :] + np.einsum("nij,nmj->nmi", self.chols, z)
         logdet = np.log(np.diagonal(self.chols, axis1=-2, axis2=-1)).sum(axis=-1)
+        means, chols, logdet = (np.repeat(a, self.runs, axis=0)
+                                for a in (self.means, self.chols, logdet))
+        theta = means[:, None, :] + np.einsum("nij,nmj->nmi", chols, z)
         log_q = (-0.5 * s * LOG_2PI - logdet[:, None]
                  - 0.5 * (z**2).sum(axis=-1))
         corr = self.model.prior_logpdf(theta) - log_q
         if self.n_fallback:
-            mask = self.fallback
-            n_fb = self.n_fallback
-            theta_fb = self.model.sample_prior(rng, n_fb * m).reshape(n_fb, m, s)
-            theta[mask] = theta_fb
+            mask = np.repeat(self.fallback, self.runs)
+            n_fb = int(mask.sum())
+            theta[mask] = self.model.sample_prior(rng, n_fb * m).reshape(n_fb, m, s)
             corr[mask] = 0.0
         return theta, corr
 
@@ -87,17 +89,23 @@ class PriorProposalFactory:
 
 
 class LaplaceProposalFactory:
-    """Gaussian importance proposals from a per-outer-sample Laplace fit."""
+    """Gaussian importance proposals from a per-outer-sample Laplace fit.
+
+    ``fit`` takes one row per block of inner samples; an outer sample's
+    rows are equal and consecutive, and are fitted once.
+    """
 
     name = "laplace"
 
     def fit(self, model: ProblemModel, design: Design, theta, eps, y):
-        means, covs, fallback = laplace_fit_batch(model, design, theta, y)
+        # Each run of equal (theta, y) rows is one outer sample: fit it once.
+        starts, runs = equal_runs(theta, y)
+        means, covs, fallback = laplace_fit_batch(model, design, theta[starts], y[starts])
         chols = np.broadcast_to(np.eye(model.s), covs.shape).copy()
         ok = ~fallback
         if np.any(ok):
             chols[ok], fallback[ok] = _per_row(np.linalg.cholesky, chols[ok], covs[ok])
-        return FittedGaussian(model, means, chols, fallback)
+        return FittedGaussian(model, means, chols, fallback, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from mlmc_boed import (
     testcase_optimal_design,
     unbiased_gradient,
 )
-from loop_reference import _inner
+from loop_reference import _groups
 from mlmc_boed.cli import main as cli_main
-from mlmc_boed.gradient import _draw_outer
 from mlmc_boed.rng import PHASE_OPTIMIZE, stream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -54,8 +53,10 @@ def _max_antithetic_violation(model, design, factory, seed, n_per_level):
     for lvl in range(1, 6):
         m = 2**lvl
         rng = stream(seed, 99, lvl)
-        theta, eps, y = _draw_outer(model, design, n_per_level, rng)
-        log_w, scores, _ = _inner(model, design, factory, theta, eps, y, m, rng, True)
+        ((_, _, theta, eps, theta_in, corr),), _ = _groups(
+            model, design, factory, rng, np.full(n_per_level, lvl), 1)
+        log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
+        log_w = log_rho + corr
         shift = log_w.max(axis=-1, keepdims=True)
         lin = np.exp(log_w - shift)
         den_f = lin.sum(axis=-1)

@@ -311,3 +311,41 @@ def test_every_parser_dest_is_a_config_field_or_cli_only(command):
     dests = set(vars(build_parser().parse_args([command])))
     cli_only = {"command", "config", "threads", "out", "lr"}
     assert dests - cli_only <= set(RunConfig.__dataclass_fields__)
+
+
+def _single_configuration_error(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "configuration"
+    return err["message"]
+
+
+def test_problem_flag_naming_another_problem_than_the_config_is_an_error(tmp_path, capsys):
+    # It used to keep only the document's seed and drop its other fields.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": "testcase", "n_outer": 300, "seed": 4}))
+    out = tmp_path / "out"
+    assert run_cli(["eig", "--config", cfg_path, "--problem", "pk", "--out", out]) == 2
+    assert "'pk'" in _single_configuration_error(capsys)
+    assert not out.exists()
+    # The document's own problem, named again, is no conflict.
+    assert run_cli(["eig", "--config", cfg_path, "--problem", "testcase", "--out", out]) == 0
+    assert json.loads((out / "eig.json").read_text())["n_outer"] == 300
+
+
+@pytest.mark.parametrize("estimator,flag,value", [
+    ("mlmc", "--inner-m", "64"),
+    ("stdmc", "--tau", "2.0"),
+    ("stdmc", "--m0", "2"),
+    ("stdmc", "--w0", "0.5"),
+])
+def test_flag_the_estimator_never_reads_is_a_configuration_error(
+        tmp_path, capsys, estimator, flag, value):
+    out = tmp_path / "out"
+    rc = run_cli(["eig", "--n-outer", "200", "--seed", "3", "--estimator", estimator,
+                  flag, value, "--out", out])
+    assert rc == 2
+    message = _single_configuration_error(capsys)
+    assert flag in message and repr(estimator) in message
+    assert not out.exists()

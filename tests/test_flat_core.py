@@ -30,7 +30,12 @@ RTOL = 1e-12
 
 
 class ForcedFallbackFactory:
-    """Laplace proposals with every third outer sample forced onto the prior."""
+    """Laplace proposals with every third outer sample forced onto the prior.
+
+    The estimators pass an outer sample to the fit as a run of equal rows,
+    and the fit's arrays hold one entry per run, so the mask forces whole
+    outer samples, not single rows of one.
+    """
 
     name = "laplace-forced-fallback"
 
@@ -41,7 +46,7 @@ class ForcedFallbackFactory:
         fitted = LaplaceProposalFactory().fit(model, design, theta, eps, y)
         mask = fitted.fallback.copy()
         mask[::3] = True
-        forced = FittedGaussian(model, fitted.means, fitted.chols, mask)
+        forced = FittedGaussian(model, fitted.means, fitted.chols, mask, fitted.runs)
         self.n_fallback += forced.n_fallback
         return forced
 
@@ -129,9 +134,12 @@ def test_fallback_count_is_reported():
     model, design, w, factory = _case("pk-fallback")
     est = unbiased_gradient(model, design, 600, w, factory, 36)
     eig = eig_nested(model, design, 100, 4, factory, 37)
-    # 600 samples in level groups of k samples each force ceil(k / 3) rows,
-    # so at least a third of them fall back.
+    # Each fit of k outer samples forces ceil(k / 3) of them, so at least a
+    # third of the 700 samples fall back.
     assert est.n_fallback + eig.n_fallback == factory.n_fallback >= 700 // 3
+    # One fit per chunk: 512 + 88 gradient samples and 100 EIG samples, of
+    # which exactly every third falls back, row repeats notwithstanding.
+    assert (est.n_fallback, eig.n_fallback) == (171 + 30, 34)
     assert unbiased_gradient(model, design, 600, w, LaplaceProposalFactory(), 36).n_fallback == 0
     assert eig_nested(TestCaseProblem(), Design(np.array([1.5])), 100, 4,
                       PriorProposalFactory(), 37).n_fallback == 0

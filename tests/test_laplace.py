@@ -10,6 +10,7 @@ from mlmc_boed import (
     ProblemModel,
     laplace_fit_batch,
 )
+from mlmc_boed.proposals import FittedGaussian
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -187,3 +188,53 @@ def test_proposal_concentrates_near_truth():
     sds = np.sqrt(np.diagonal(covs[ok], axis1=-2, axis2=-1))
     assert np.median(sds) < 0.5 * np.sqrt(pk.params.prior_var)
     assert np.mean(np.abs(means[ok] - theta[ok])) < 2 * np.sqrt(pk.params.prior_var)
+
+
+# The estimators pass an outer sample at level l to the fit as 2**(l - l_min)
+# equal consecutive rows; the fit must treat each run as one outer sample.
+RUNS = np.array([1, 4, 2, 1, 8, 2])
+
+
+def _repeated_rows(seed, infinite=()):
+    pk = PkProblem()
+    design = pk.default_design()
+    rng = np.random.default_rng(seed)
+    theta = pk.sample_prior(rng, RUNS.size)
+    eps = pk.sample_noise(rng, RUNS.size)
+    y = pk.simulate(design, theta, eps)
+    y[list(infinite)] = np.inf  # no finite Laplace step: the fit falls back
+    rows = [np.repeat(a, RUNS, axis=0) for a in (theta, eps, y)]
+    return pk, design, (theta, eps, y), rows
+
+
+def test_fit_of_repeated_rows_is_the_fit_of_each_outer_sample_repeated():
+    pk, design, outer, rows = _repeated_rows(8)
+    fitted = LaplaceProposalFactory().fit(pk, design, *rows)
+    once = LaplaceProposalFactory().fit(pk, design, *outer)
+    assert fitted.n == RUNS.sum() and fitted.runs.tolist() == RUNS.tolist()
+    np.testing.assert_array_equal(fitted.means, once.means)
+    np.testing.assert_array_equal(fitted.chols, once.chols)
+    # Every row samples its own outer sample's proposal, bit for bit.
+    rows = RUNS.sum()
+    per_row = FittedGaussian(pk, np.repeat(once.means, RUNS, axis=0),
+                             np.repeat(once.chols, RUNS, axis=0),
+                             np.zeros(rows, dtype=bool), np.ones(rows, dtype=np.int64))
+    for a, b in zip(fitted.sample_inner(np.random.default_rng(9), 4),
+                    per_row.sample_inner(np.random.default_rng(9), 4)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_fallback_counts_outer_samples_and_draws_every_row_from_the_prior():
+    pk, design, _, rows = _repeated_rows(8, infinite=(1, 4))
+    with np.errstate(invalid="ignore"):
+        fitted = LaplaceProposalFactory().fit(pk, design, *rows)
+    assert fitted.fallback.tolist() == [False, True, False, False, True, False]
+    assert fitted.n_fallback == 2  # two outer samples, 4 + 8 rows
+    m = 3
+    theta, corr = fitted.sample_inner(np.random.default_rng(10), m)
+    mask = np.repeat(fitted.fallback, RUNS)
+    rng = np.random.default_rng(10)
+    rng.standard_normal((RUNS.sum(), m, pk.s))
+    prior = pk.sample_prior(rng, 12 * m).reshape(12, m, pk.s)
+    np.testing.assert_array_equal(theta[mask], prior)
+    assert np.all(corr[mask] == 0.0) and np.all(corr[~mask] != 0.0)

@@ -4,13 +4,19 @@
 proxies the proposal factories and fitted proposals, passing every argument
 through positionally.  A changed parameter list would break only the traced
 benchmark run; pinning the lists here makes it fail the test suite instead.
+The last test runs the benchmark's own wrappers (imported from ``bench/``,
+which it does not change) around one gradient estimate.
 """
 
+import importlib
 import inspect
+import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mlmc_boed import LevelWeights, PkProblem, TestCaseProblem
+from mlmc_boed import LevelWeights, PkProblem, TestCaseProblem, default_config, unbiased_gradient
 from mlmc_boed.proposals import (
     FittedGaussian,
     FittedPrior,
@@ -56,3 +62,26 @@ def test_wrapped_attributes():
     model = PkProblem()
     fitted = FittedPrior(model, 4)
     assert (fitted.n, fitted.n_fallback) == (4, 0)
+
+
+@pytest.mark.parametrize("problem", ["pk", "testcase"])
+def test_traced_gradient_counts_every_inner_sample(monkeypatch, problem):
+    # The traced run counts ``n * m`` inner samples per ``sample_inner(rng, m)``
+    # call and writes its span table as JSON: ``m`` must stay one int per call.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    cfg = default_config(problem).with_overrides(n_outer=600, seed=7)
+    parts = workloads.build_parts(cfg)
+    rec = tracing.Recorder()
+    traced = tracing.traced_parts(parts, rec)
+    est = unbiased_gradient(traced.model, traced.base, cfg.n_outer, traced.weights,
+                            traced.factory, cfg.seed)
+    plain = unbiased_gradient(parts.model, parts.base, cfg.n_outer, parts.weights,
+                              parts.factory, cfg.seed)
+    table = tracing.span_table(rec)
+    json.dumps(table)
+    np.testing.assert_array_equal(est.grad, plain.grad)
+    assert table["proposals.sample_inner"]["count"] == est.total_cost
+    assert table["proposals.fit"]["calls"] == 2  # one fit per chunk of 512
+    assert any(np.unique(levels).size > 1 for levels in rec.levels)
