@@ -83,6 +83,21 @@ class ProblemModel:
 
     Dimensions: ``d`` design parameters, ``s`` latent parameters, ``s_noise``
     noise components, ``t`` observation components.
+
+    A model that supports the ``laplace`` proposal also has
+    :meth:`prior_logpdf_derivs` and two Laplace hooks that this class does
+    not define, so that ``hasattr(model, "observation_derivs")`` tells
+    whether the fit can run (the fit itself needs ``s = 3``):
+
+    - ``observation_derivs(design, theta, second)`` returns ``(value, grad,
+      hess)``: the mean observation at ``theta (n, s)`` and its
+      theta-derivatives, with shapes ``(n, t)``, ``(n, t, s)`` and
+      ``(s (s + 1) / 2, n, t)``.  ``hess`` holds the distinct entries of each
+      symmetric Hessian, the upper triangle row by row (for ``s = 3``:
+      ``(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)``), time axis last;
+      it is ``None`` when ``second`` is false.
+    - ``observation_variance(value)`` returns the per-component variance of
+      the observation noise at mean ``value``, in the shape of ``value``.
     """
 
     d: int

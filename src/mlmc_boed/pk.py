@@ -70,14 +70,15 @@ def _horner(coeff, y):
     return acc
 
 
-def _phi_derivs(u, w, T, order: int):
+def _phi_derivs(u, w, T, order: int, out=None):
     """Scaled divided difference phi = (exp(-wT) - exp(-uT)) / (u - w) and derivatives.
 
     Returns ``(phi, phi_T)`` for ``order`` 0, ``(phi, phi_u, phi_w, phi_T)``
-    for ``order`` 1, and for ``order`` 2 additionally
-    ``(phi_uu, phi_ww, phi_uw)``.  ``u``, ``w`` and ``T`` are arrays that
-    broadcast together, with ``u, w > 0`` and ``T >= 0``.  Stable uniformly
-    in ``u - w``, including the confluent case ``u == w``.
+    for ``order`` 1, and for ``order`` 2 additionally ``(phi_uu, phi_ww,
+    phi_uw)``, written into the three arrays of ``out`` if it is given.  ``u``, ``w`` and
+    ``T`` are arrays that broadcast together, with ``u, w > 0`` and
+    ``T >= 0``.  Stable uniformly in ``u - w``, including the confluent case
+    ``u == w``.
 
     Work is done in place where it can be: every fresh full-size array costs
     page faults once the allocator has returned the previous call's memory.
@@ -111,15 +112,16 @@ def _phi_derivs(u, w, T, order: int):
         p_w = p - ew
         p_w *= s
     if order == 2:
-        p_uu, p_ww = eu, ew                # -(eu + 2 p_u) / dT, (ew + 2 p_w) / dT
-        p_uu += p_u
+        # -(eu + 2 p_u) / dT, (ew + 2 p_w) / dT, (p_u - p_w) / dT
+        out = (eu, ew, None) if out is None else out
+        p_uu = np.add(eu, p_u, out=out[0])
         p_uu += p_u
         p_uu *= s
         np.negative(p_uu, out=p_uu)
-        p_ww += p_w
+        p_ww = np.add(ew, p_w, out=out[1])
         p_ww += p_w
         p_ww *= s
-        p_uw = p_u - p_w                   # (p_u - p_w) / dT
+        p_uw = np.subtract(p_u, p_w, out=out[2])
         p_uw *= s
 
     if xb.size:
@@ -179,12 +181,19 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
 
     ``theta`` has shape ``(..., 3)`` in log-parameters; ``times`` has shape
     ``(k,)``.  Returns ``(value, d_time, grad_theta, hess_theta)`` with shapes
-    ``(..., k)``, ``(..., k)``, ``(..., k, 3)`` and ``(..., k, 3, 3)``; all
-    theta-derivatives are taken with respect to the log-parameters.  Without
-    ``second`` the Hessian is not formed and ``None`` is returned in its place.
+    ``(..., k)``, ``(..., k)``, ``(..., k, 3)`` and ``(6, ..., k)``; all
+    theta-derivatives are taken with respect to the log-parameters.  The
+    Hessian is symmetric, so only its six distinct entries are returned: the
+    upper triangle row by row, ``(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+    (2, 2)``, each with the time axis last.  Without ``second`` the Hessian
+    is not formed and ``None`` is returned in its place.
     """
     u, w, B, times = _rates(theta, times, dose)
-    res = _phi_derivs(u, w, times, order=2 if second else 1)
+    hess = out = None
+    if second:
+        hess = np.empty((6,) + np.broadcast_shapes(u.shape, times.shape))
+        out = (hess[0], hess[3], hess[1])
+    res = _phi_derivs(u, w, times, order=2 if second else 1, out=out)
     value, up, wp, d_time = res[:4]
     value *= B
     d_time *= B
@@ -197,7 +206,7 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     np.negative(value, out=grad[..., 2])
     if not second:
         return value, d_time, grad, None
-    h_aa, h_ee, h_ae = res[4:]             # phi_uu, phi_ww, phi_uw
+    h_aa, h_ee, h_ae = res[4:]             # phi_uu, phi_ww, phi_uw, in hess
     h_aa *= u * u                          # B (phi + 3 u phi_u + u^2 phi_uu)
     h_aa += 3 * up
     h_aa *= B
@@ -208,13 +217,9 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     h_ee *= w * w                          # B (w phi_w + w^2 phi_ww)
     h_ee += wp
     h_ee *= B
-    hess = np.empty(value.shape + (3, 3))
-    hess[..., 0, 0] = h_aa
-    hess[..., 0, 1] = hess[..., 1, 0] = h_ae
-    hess[..., 0, 2] = hess[..., 2, 0] = -g_a
-    hess[..., 1, 1] = h_ee
-    hess[..., 1, 2] = hess[..., 2, 1] = -g_e
-    hess[..., 2, 2] = value
+    np.negative(g_a, out=hess[2])
+    np.negative(g_e, out=hess[4])
+    hess[5] = value
     return value, d_time, grad, hess
 
 
@@ -325,7 +330,11 @@ class PkProblem(ProblemModel):
 
     # -- Laplace-fit hooks ----------------------------------------------------
     def observation_derivs(self, design, theta, second: bool):
-        """Mean observation and its latent-derivatives, ``(value, grad, hess)``."""
+        """Mean observation and its latent-derivatives, ``(value, grad, hess)``.
+
+        Shapes ``(n, t)``, ``(n, t, 3)`` and the packed ``(6, n, t)`` of
+        :func:`pk_mean_response` (``None`` without ``second``).
+        """
         value, _, grad, hess = pk_mean_response(theta, design.values, self.params.dose, second)
         return value, grad, hess
 

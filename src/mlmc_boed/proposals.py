@@ -11,15 +11,32 @@ For the PK problem, with ``J = -grad gbar``, ``H = -hess gbar``,
     Sigma_hat = (J(theta_hat)' S(theta_hat)^-1 J(theta_hat) - prior_hess)^-1
 
 where S is evaluated at theta* in the first equation and rebuilt at
-theta_hat in the second.  If either linear solve fails to be positive
-definite, the prior is substituted as the proposal for that outer sample and
-the event is counted.
+theta_hat in the second.  The model supplies ``H`` packed, as the six
+distinct entries of each symmetric 3x3 Hessian (see
+:meth:`ProblemModel.observation_derivs`), so the fit needs ``s = 3``; its
+linear algebra is closed-form 3x3 algebra on arrays of outer samples (the
+Newton step and ``Sigma_hat`` by adjugate and determinant, then the lower
+Cholesky factor of ``Sigma_hat``).
+
+The prior is substituted as the proposal for an outer sample, and the event
+is counted, when
+
+- the Newton matrix has determinant 0, or the step is not finite (the step
+  is then dropped and ``theta_hat = theta*``);
+- the precision has determinant 0, or ``Sigma_hat`` has an entry that is not
+  finite;
+- a Cholesky pivot of ``Sigma_hat`` is not positive, or the factor has an
+  entry that is not finite.
+
+A matrix with a NaN or an infinite entry always has a non-finite
+determinant, so it falls back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .model import LOG_2PI, Design, ProblemModel, equal_runs
 
 
@@ -101,66 +118,115 @@ class LaplaceProposalFactory:
         # Each run of equal (theta, y) rows is one outer sample: fit it once.
         starts, runs = equal_runs(theta, y)
         means, covs, fallback = laplace_fit_batch(model, design, theta[starts], y[starts])
-        chols = np.broadcast_to(np.eye(model.s), covs.shape).copy()
-        ok = ~fallback
-        if np.any(ok):
-            chols[ok], fallback[ok] = _per_row(np.linalg.cholesky, chols[ok], covs[ok])
+        chols, bad = _cholesky3(covs)
+        fallback |= bad
+        chols[fallback] = np.eye(3)
         return FittedGaussian(model, means, chols, fallback, runs)
 
 
 # ---------------------------------------------------------------------------
 # Laplace fit
 
+# Packed Hessian component of each entry of a symmetric 3x3 matrix, row-major.
+_SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+# Row-major flat indices of the four entries behind each cofactor
+# C_ij = a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1]; taken mod 3, the
+# indices carry the cofactor's sign (-1)^(i+j) by themselves.
+_COF = np.array([[3 * ((i + r) % 3) + (j + c) % 3 for i in range(3) for j in range(3)]
+                 for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))])
+# Row-major flat indices of the lower triangle.
+_LOWER = np.array([0, 3, 4, 6, 7, 8])
 
-def _per_row(op, fill, mats, *rest):
-    """``op`` over a batch of matrices, with a per-row failure mask.
 
-    If the batched call raises ``LinAlgError``, each row is retried alone;
-    a row that still fails keeps its ``fill`` value.  Returns ``(out, bad)``
-    where ``bad`` marks failed rows and rows with non-finite entries.
+def _hessian_term(hess, weights):
+    """``sum_t weights[n, t] hess_t`` as ``(n, 3, 3)``, from the packed ``(6, n, t)``."""
+    packed = np.einsum("knt,nt->nk", hess, weights)
+    return packed[:, _SYM].reshape(-1, 3, 3)
+
+
+def _cofactors(a):
+    """Cofactors ``C[i, j]``, as ``(3, 3, n)``, and determinants of the 3x3 matrices ``a``."""
+    m = a.reshape(-1, 9).T
+    f = m[_COF]
+    cof = f[0] * f[1] - f[2] * f[3]
+    det = (m[:3] * cof[:3]).sum(axis=0)
+    return cof.reshape(3, 3, -1), det
+
+
+def _solve3(a, b):
+    """``a^-1 b`` per row by the adjugate, with a failure mask.
+
+    A row fails where its solution is not finite, as it is wherever the
+    determinant is 0.
     """
-    bad = np.zeros(mats.shape[0], dtype=bool)
-    try:
-        out = op(mats, *rest)
-    except np.linalg.LinAlgError:
-        out = fill.copy()
-        for i in range(mats.shape[0]):
-            try:
-                out[i] = op(mats[i], *(r[i] for r in rest))
-            except np.linalg.LinAlgError:
-                bad[i] = True
-    bad |= ~np.isfinite(out).reshape(bad.size, -1).all(axis=1)
-    return out, bad
+    with np.errstate(all="ignore"):
+        cof, det = _cofactors(a)
+        x = (cof * b.T[:, None]).sum(axis=0) / det         # sum_j C_ji b_j / det
+    return x.T, ~np.isfinite(x).all(axis=0)
+
+
+def _inv3(a):
+    """``a^-1`` per row by the adjugate, with a failure mask.
+
+    A row fails where an entry is not finite, as it is wherever the
+    determinant is 0.
+    """
+    with np.errstate(all="ignore"):
+        cof, det = _cofactors(a)
+        inv = cof.T / det[:, None, None]                    # C_ji / det
+    return inv, ~np.isfinite(inv).all(axis=(1, 2))
+
+
+def _cholesky3(a):
+    """Lower Cholesky factors of the 3x3 matrices ``a``, with a failure mask.
+
+    Only the lower triangle is read.  A row fails where a pivot is not
+    positive or an entry is not finite.
+    """
+    a00, a10, a11, a20, a21, a22 = a.reshape(-1, 9).T[_LOWER]
+    chol = np.zeros((9, a00.size))                          # row-major entries
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(a00, out=chol[0])
+        r0 = 1.0 / l00
+        l10 = np.multiply(a10, r0, out=chol[3])
+        l20 = np.multiply(a20, r0, out=chol[6])
+        piv1 = a11 - l10 * l10
+        l11 = np.sqrt(piv1, out=chol[4])
+        l21 = np.multiply(a21 - l20 * l10, 1.0 / l11, out=chol[7])
+        piv2 = a22 - (l20 * l20 + l21 * l21)
+        np.sqrt(piv2, out=chol[8])
+    ok = (a00 > 0) & (piv1 > 0) & (piv2 > 0) & np.isfinite(chol).all(axis=0)
+    return chol.T.reshape(-1, 3, 3), ~ok
 
 
 def laplace_fit_batch(model, design: Design, theta_star, y):
     """Vectorized Laplace fit for ``n`` outer samples.
 
     ``model`` must expose ``observation_derivs`` / ``observation_variance``
-    alongside the usual prior derivatives.  Returns
-    ``(means (n,s), covs (n,s,s), fallback (n,))``.
+    alongside the usual prior derivatives, and have ``s = 3`` latent
+    parameters.  Returns ``(means (n,s), covs (n,s,s), fallback (n,))``.
     """
+    if model.s != 3:
+        raise ContractViolationError(
+            f"the Laplace fit needs 3 latent parameters, the model has {model.s}")
     theta_star = np.asarray(theta_star, dtype=float)
     y = np.asarray(y, dtype=float)
 
     gbar, grad, hess = model.observation_derivs(design, theta_star, second=True)
-    n, t, s = grad.shape
     s_eps = model.observation_variance(gbar)      # evaluated at theta* here
     E = y - gbar
     _, _, prior_hess = model.prior_logpdf_derivs(theta_star)
 
     # J = -grad and H = -hess; the signs are folded into the products below.
     GtSinv = np.swapaxes(grad / s_eps[..., None], 1, 2)           # -J'S^-1, (n, s, t)
-    Hterm = ((E / s_eps)[:, None, :] @ hess.reshape(n, t, s * s)).reshape(n, s, s)
-    A = GtSinv @ grad - Hterm - prior_hess
-    step, bad = _per_row(np.linalg.solve, np.zeros((n, s, 1)), A, GtSinv @ E[..., None])
-    means = theta_star + step[..., 0]             # theta* - A^-1 J'S^-1 E
+    A = GtSinv @ grad - _hessian_term(hess, E / s_eps) - prior_hess
+    step, bad = _solve3(A, (GtSinv @ E[..., None])[..., 0])
+    means = theta_star + step                     # theta* - A^-1 J'S^-1 E
     means[bad] = theta_star[bad]
 
     gbar_hat, grad_hat, _ = model.observation_derivs(design, means, second=False)
     s_hat = model.observation_variance(gbar_hat)
     _, _, prior_hess_hat = model.prior_logpdf_derivs(means)
     prec = np.swapaxes(grad_hat / s_hat[..., None], 1, 2) @ grad_hat - prior_hess_hat
-    covs, bad_inv = _per_row(np.linalg.inv, np.broadcast_to(np.eye(s), prec.shape), prec)
-    fallback = bad | bad_inv
-    return means, covs, fallback
+    covs, bad_inv = _inv3(prec)
+    return means, covs, bad | bad_inv

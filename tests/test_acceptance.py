@@ -17,7 +17,6 @@ from mlmc_boed import (
     LevelWeights,
     PkProblem,
     PriorProposalFactory,
-    ProblemModel,
     TestCaseProblem,
     decay_study,
     eig_nested,
@@ -28,11 +27,10 @@ from mlmc_boed import (
     testcase_optimal_design,
     unbiased_gradient,
 )
+from laplace_reference import LinearGaussianModel
 from loop_reference import _groups
 from mlmc_boed.cli import main as cli_main
 from mlmc_boed.rng import PHASE_OPTIMIZE, stream
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -233,42 +231,12 @@ def test_criterion_08_pk_design_improves_information_gain():
     assert ok
 
 
-class _LinearGaussian(ProblemModel):
-    def __init__(self, A, b, noise_var, prior_mean, prior_var):
-        self.A, self.b = A, b
-        self.noise_var, self.prior_mean, self.prior_var = noise_var, prior_mean, prior_var
-        self.t, self.s = A.shape
-        self.d = self.t
-        self.s_noise = self.t
-
-    def prior_logpdf(self, theta):
-        z = theta - self.prior_mean
-        return (-0.5 * LOG_2PI - 0.5 * np.log(self.prior_var)
-                - z**2 / (2 * self.prior_var)).sum(axis=-1)
-
-    def prior_logpdf_derivs(self, theta):
-        grad = -(theta - self.prior_mean) / self.prior_var
-        hess = np.broadcast_to(
-            -np.eye(self.s) / self.prior_var, theta.shape[:-1] + (self.s, self.s)
-        ).copy()
-        return self.prior_logpdf(theta), grad, hess
-
-    def observation_derivs(self, design, theta, second):
-        value = theta @ self.A.T + self.b
-        grad = np.broadcast_to(self.A, theta.shape[:-1] + self.A.shape).copy()
-        hess = np.zeros(theta.shape[:-1] + (self.t, self.s, self.s)) if second else None
-        return value, grad, hess
-
-    def observation_variance(self, value):
-        return np.full_like(value, self.noise_var)
-
-
 def test_criterion_09_posterior_fit_exact_on_linear_gaussian():
     rng = np.random.default_rng(15)
     A = rng.normal(size=(7, 3))
     b = rng.normal(size=7)
     prior_mean = np.array([0.2, -0.6, 1.1])
-    model = _LinearGaussian(A, b, noise_var=0.4, prior_mean=prior_mean, prior_var=0.9)
+    model = LinearGaussianModel(A, b, noise_var=0.4, prior_mean=prior_mean, prior_var=0.9)
     design = Design(np.arange(1.0, 8.0))
     n = 4
     theta_star = np.tile(prior_mean, (n, 1))

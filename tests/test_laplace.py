@@ -3,64 +3,21 @@
 import numpy as np
 import pytest
 
+from laplace_reference import LinearGaussianModel, full_hessian, reference_fit
+
 from mlmc_boed import (
+    ContractViolationError,
     Design,
     LaplaceProposalFactory,
     PkProblem,
-    ProblemModel,
     laplace_fit_batch,
 )
-from mlmc_boed.proposals import FittedGaussian
+from mlmc_boed.proposals import FittedGaussian, _cholesky3, _hessian_term, _inv3, _solve3
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-class LinearGaussianModel(ProblemModel):
-    """Observations y = A theta + b + noise with constant noise variance.
-
-    The posterior is conjugate Gaussian, so the one-step fit initialized at
-    the prior mean must recover the posterior mean and covariance exactly.
-    """
-
-    def __init__(self, A, b, noise_var, prior_mean, prior_var):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.noise_var = float(noise_var)
-        self.prior_mean = np.asarray(prior_mean, dtype=float)
-        self.prior_var = float(prior_var)
-        self.t, self.s = self.A.shape
-        self.d = self.t
-        self.s_noise = self.t
-
-    def sample_prior(self, rng, n):
-        return self.prior_mean + np.sqrt(self.prior_var) * rng.standard_normal(
-            (n, self.s)
-        )
-
-    def prior_logpdf(self, theta):
-        z = np.asarray(theta, dtype=float) - self.prior_mean
-        return (-0.5 * LOG_2PI - 0.5 * np.log(self.prior_var)
-                - z**2 / (2 * self.prior_var)).sum(axis=-1)
-
-    def prior_logpdf_derivs(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        grad = -(theta - self.prior_mean) / self.prior_var
-        hess = np.broadcast_to(
-            -np.eye(self.s) / self.prior_var, theta.shape[:-1] + (self.s, self.s)
-        ).copy()
-        return self.prior_logpdf(theta), grad, hess
-
-    def observation_derivs(self, design, theta, second: bool):
-        theta = np.asarray(theta, dtype=float)
-        value = theta @ self.A.T + self.b
-        grad = np.broadcast_to(self.A, theta.shape[:-1] + self.A.shape).copy()
-        hess = None
-        if second:
-            hess = np.zeros(theta.shape[:-1] + (self.t, self.s, self.s))
-        return value, grad, hess
-
-    def observation_variance(self, value):
-        return np.full_like(value, self.noise_var)
+# Fixed before the closed-form rewrite: the largest difference from the
+# LAPACK reference, relative to the largest entry of the same row.
+REL_TOL = 1e-12
 
 
 @pytest.fixture
@@ -238,3 +195,117 @@ def test_fallback_counts_outer_samples_and_draws_every_row_from_the_prior():
     prior = pk.sample_prior(rng, 12 * m).reshape(12, m, pk.s)
     np.testing.assert_array_equal(theta[mask], prior)
     assert np.all(corr[mask] == 0.0) and np.all(corr[~mask] != 0.0)
+
+
+def _row_rel_err(a, ref):
+    a, ref = (x.reshape(x.shape[0], -1) for x in (a, ref))
+    return float((np.abs(a - ref).max(axis=1) / np.abs(ref).max(axis=1)).max())
+
+
+def test_fit_matches_the_lapack_reference_on_pk_prior_draws():
+    pk = PkProblem()
+    design = pk.default_design()
+    rng = np.random.default_rng(11)
+    n = 10_000
+    theta = pk.sample_prior(rng, n)
+    eps = pk.sample_noise(rng, n)
+    y = pk.simulate(design, theta, eps)
+    y[::997, 3] = np.inf  # no finite Laplace step: both fits fall back
+    with np.errstate(invalid="ignore"):
+        means, covs, fallback = laplace_fit_batch(pk, design, theta, y)
+        fitted = LaplaceProposalFactory().fit(pk, design, theta, eps, y)
+        ref_means, ref_covs, ref_chols, ref_fallback, _ = reference_fit(pk, design, theta, eps, y)
+    np.testing.assert_array_equal(fallback, ref_fallback)
+    np.testing.assert_array_equal(fitted.fallback, ref_fallback)
+    assert ref_fallback.sum() == len(range(0, n, 997))
+    ok = ~ref_fallback
+    assert _row_rel_err(means[ok], ref_means[ok]) <= REL_TOL
+    assert _row_rel_err(covs[ok], ref_covs[ok]) <= REL_TOL
+    assert _row_rel_err(fitted.means[ok], ref_means[ok]) <= REL_TOL
+    assert _row_rel_err(fitted.chols[ok], ref_chols[ok]) <= REL_TOL
+    assert np.all(np.triu(fitted.chols[ok], 1) == 0.0)
+    np.testing.assert_array_equal(fitted.chols[~ok], np.broadcast_to(np.eye(3), (n - ok.sum(), 3, 3)))
+
+
+def _mixed_batch():
+    """3x3 matrices of every kind the fit can meet, and the rows each
+    operation must fail on."""
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(2, 3, 3))
+    spd = m @ np.swapaxes(m, 1, 2) + np.eye(3)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    indefinite = q @ np.diag([2.0, -1.0, 3.0]) @ q.T
+    singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+    semidefinite = np.diag([2.0, 1.0, 0.0])  # only the last pivot is 0
+    negative = -spd[0]
+    with_nan = spd[1].copy()
+    with_nan[2, 1] = with_nan[1, 2] = np.nan
+    with_inf = spd[0].copy()
+    with_inf[1, 1] = np.inf
+    a = np.stack([spd[0], spd[1], indefinite, singular, semidefinite, negative,
+                  with_nan, with_inf])
+    singular_or_nonfinite = [3, 4, 6, 7]
+    not_positive_definite = [2, 3, 4, 5, 6, 7]
+    return a, singular_or_nonfinite, not_positive_definite
+
+
+def _per_row_reference(op, a, *rest):
+    """``op`` on each row alone, as ``(out, bad)``; a row where it raises is NaN."""
+    out = []
+    for i in range(a.shape[0]):
+        try:
+            with np.errstate(all="ignore"):
+                out.append(op(a[i], *(x[i] for x in rest)))
+        except np.linalg.LinAlgError:
+            out.append(None)
+    nan = np.full_like(next(r for r in out if r is not None), np.nan)
+    out = np.array([nan if r is None else r for r in out])
+    return out, ~np.isfinite(out).reshape(len(out), -1).all(axis=1)
+
+
+@pytest.mark.parametrize("name", ["solve", "inv", "cholesky"])
+def test_closed_form_3x3_matches_numpy_linalg_per_row(name):
+    a, singular_or_nonfinite, not_positive_definite = _mixed_batch()
+    b = np.random.default_rng(13).normal(size=(a.shape[0], 3))
+    if name == "solve":
+        out, bad = _solve3(a, b)
+        ref, ref_bad = _per_row_reference(np.linalg.solve, a, b)
+        expected = singular_or_nonfinite  # the indefinite row solves
+    elif name == "inv":
+        out, bad = _inv3(a)
+        ref, ref_bad = _per_row_reference(np.linalg.inv, a)
+        expected = singular_or_nonfinite
+    else:
+        out, bad = _cholesky3(a)
+        ref, ref_bad = _per_row_reference(np.linalg.cholesky, a)
+        expected = not_positive_definite
+    assert np.flatnonzero(bad).tolist() == expected
+    # On finite rows the failures are LAPACK's.  A row with a NaN or an inf
+    # always fails, where LU may return a finite limit for a lone inf.
+    finite = np.isfinite(a).all(axis=(1, 2))
+    np.testing.assert_array_equal(bad[finite], ref_bad[finite])
+    assert bad[~finite].all()
+    assert _row_rel_err(out[~bad], ref[~bad]) <= REL_TOL
+
+
+def test_hessian_term_contracts_the_full_hessian():
+    pk = PkProblem()
+    design = pk.default_design()
+    rng = np.random.default_rng(14)
+    theta = pk.sample_prior(rng, 40)
+    _, _, hess = pk.observation_derivs(design, theta, second=True)
+    assert hess.shape == (6, 40, 15)
+    weights = rng.normal(size=(40, 15))
+    term = _hessian_term(hess, weights)
+    expected = np.einsum("ntij,nt->nij", full_hessian(hess), weights)
+    assert term.shape == (40, 3, 3)
+    assert np.allclose(term, expected, rtol=1e-13, atol=0.0)
+    assert np.array_equal(term, np.swapaxes(term, 1, 2))
+
+
+def test_fit_rejects_a_model_without_three_latent_parameters():
+    rng = np.random.default_rng(15)
+    model = LinearGaussianModel(rng.normal(size=(6, 2)), rng.normal(size=6), noise_var=0.3,
+                                prior_mean=np.zeros(2), prior_var=0.7)
+    with pytest.raises(ContractViolationError):
+        laplace_fit_batch(model, Design(np.arange(1.0, 7.0)), np.zeros((2, 2)), np.zeros((2, 6)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from laplace_reference import full_hessian
 from scipy.stats import norm
 
 from mlmc_boed import Design, DomainError, PkParams, PkProblem, pk_mean_response
@@ -44,6 +45,7 @@ def test_mean_response_smooth_through_equal_rates():
     val, _, grad, hess = pk_mean_response(theta, times)
     expected = 400.0 * 0.1 * times * np.exp(-0.1 * times) / 20.0
     assert np.allclose(val[0], expected, rtol=1e-12)
+    assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
     # approach from nearby separated rates agrees
     theta2 = np.array([[np.log(0.1) + 1e-9, np.log(0.1), np.log(20.0)]])
@@ -56,6 +58,7 @@ def test_mean_response_extreme_rates_do_not_overflow():
     theta = np.array([[8.0, -6.0, 3.0]])  # ka = e^8, ke = e^-6
     val, _, grad, hess = pk_mean_response(theta, np.array([1.0, 24.0]))
     assert np.all(np.isfinite(val)) and np.all(np.isfinite(grad))
+    assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(hess))
 
 
@@ -63,7 +66,9 @@ def test_mean_response_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     theta = PRIOR_MEANS + 0.3 * rng.standard_normal((6, 3))
     times = np.array([0.5, 3.0, 12.0])
-    val, d_time, grad, hess = pk_mean_response(theta, times)
+    val, d_time, grad, packed = pk_mean_response(theta, times)
+    assert packed.shape == (6, 6, 3)  # (component, sample, time)
+    hess = full_hessian(packed)
     e = 1e-6
     for j in range(3):
         tp, tm = theta.copy(), theta.copy()
