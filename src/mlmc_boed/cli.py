@@ -17,8 +17,10 @@ are byte-identical for a fixed seed regardless of ``--threads``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -168,9 +170,6 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
         ([row.level, _fmt(row.mean_sq_psi), _fmt(row.mean_sq_delta), row.n_samples]
          for row in report.rows),
     )
-    print(f"beta_hat = {report.beta_hat:.4f} "
-          f"(fit over levels {report.fit_range[0]}..{report.fit_range[1]}"
-          f"{'' if report.reliable else ', UNRELIABLE: too few samples'})")
     return {
         "beta_hat": report.beta_hat,
         "fit_range": list(report.fit_range),
@@ -271,6 +270,15 @@ _CATEGORY = {
 }
 
 
+def _headline(command: str, summary: dict) -> str | None:
+    """The line printed before the summary JSON, if the command has one."""
+    if command != "decay":
+        return None
+    lo, hi = summary["fit_range"]
+    return (f"beta_hat = {summary['beta_hat']:.4f} (fit over levels {lo}..{hi}"
+            f"{'' if summary['reliable'] else ', UNRELIABLE: too few samples'})")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -299,7 +307,17 @@ def main(argv: list[str] | None = None) -> int:
         (out_dir / f"{args.command}.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+        headline = _headline(args.command, summary)
+        if headline is not None:
+            print(headline)
         print(json.dumps(summary, sort_keys=True))
+    except BrokenPipeError:
+        # The reader closed standard output after every --out file was
+        # written.  Point the descriptor at devnull, so that the flush at
+        # interpreter exit does not fail again.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:
         category = "internal"
         for klass, name in _CATEGORY.items():

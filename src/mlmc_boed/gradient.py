@@ -14,6 +14,15 @@ chunk, and one segmented reduction forms every half-batch sum under its own
 max shift (inner averages are self-normalized, immune to underflow).  Each
 chunk owns a deterministic RNG sub-stream, so results are bit-reproducible
 for a fixed master seed no matter how many workers are used.
+
+The reduction builds its segment indices from the level groups alone.  A
+sample has one segment per half of its inner rows, or one for the whole
+batch if it is not split (level 0), after a one-row segment for its self row
+if it has one (only the lowest level group can).  So the segment lengths
+are one repeat of the per-group half sizes with the first group's pattern
+written over them, the starts are their running sum, and each sample's
+first-half segment is an ``arange``.  The closing scatter back to the drawn
+order sorts the levels as one-byte keys.
 """
 
 from __future__ import annotations
@@ -42,12 +51,12 @@ class GradientEstimate:
 # the flat evaluation
 
 
-def _segment_sums(log_w, scores, starts):
-    """Per segment ``[starts[k], starts[k+1])`` of the flat rows: the max log
+def _segment_sums(log_w, scores, starts, lengths):
+    """Per segment of ``lengths[k]`` flat rows from ``starts[k]``: the max log
     weight, the sum of shifted weights and, when ``scores (N, d)`` is given,
     the sum of shifted weights times scores."""
     top = np.maximum.reduceat(log_w, starts)
-    lin = np.exp(log_w - np.repeat(top, np.diff(starts, append=log_w.size)))
+    lin = np.exp(log_w - top.repeat(lengths))
     den = np.add.reduceat(lin, starts)
     num = None if scores is None else np.add.reduceat(lin[:, None] * scores, starts, axis=0)
     return top, den, num
@@ -58,25 +67,48 @@ def _reduce(log_w, scores, counts, m, has_self, split, antithetic):
 
     Group ``g`` holds ``counts[g]`` samples, each its self row (if
     ``has_self[g]``) then ``m[g]`` inner rows, in two halves if ``split[g]``.
+    Only the first group can have self rows, and every other group is split.
     The inner average is the score ratio, or without ``scores`` the log mean
     likelihood; ``delta`` is ``coarse - fine`` if split, else ``self - fine``.
     """
-    self_s, split, m = (np.repeat(x, counts) for x in (has_self, split, m))
-    row0 = np.cumsum(m + self_s) - (m + self_s)
-    keep = np.stack([self_s, np.ones_like(self_s), split], axis=1)
-    starts = np.stack([row0, row0 + self_s, row0 + self_s + m // 2], axis=1)[keep]
-    ia = np.cumsum(keep.sum(axis=1)) - keep.sum(axis=1) + self_s
-    ib = np.where(split, ia + 1, ia)
+    counts, m = np.asarray(counts), np.asarray(m)
+    n = int(counts.sum())
+    c0, head_self, head_split = int(counts[0]), bool(has_self[0]), bool(split[0])
+    # Segments in row order.  A sample without a self row has two halves of
+    # m/2 rows; one of the first group with self rows has the self row, then
+    # either m inner rows or two halves.  ``ia`` and ``ib`` index each
+    # sample's first and second half (both its inner batch if unsplit).
+    split = np.ones(n, dtype=bool)
+    if head_self and head_split:             # a single group
+        lengths = np.full((n, 3), m[0] // 2)
+        lengths[:, 0] = 1
+        lengths = lengths.ravel()
+        ia = np.arange(1, 3 * n, 3)
+    else:
+        lengths = (m // 2).repeat(2 * counts)
+        ia = np.arange(0, 2 * n, 2)
+        if head_self:
+            lengths[: 2 * c0 : 2] = 1
+            lengths[1 : 2 * c0 : 2] = m[0]
+            ia[:c0] += 1
+            split[:c0] = False
+    starts = lengths.cumsum()
+    starts -= lengths
+    ib = ia + split
+    row0 = starts[ia]
+    if head_self:
+        row0[:c0] -= 1
 
-    top, den, num = _segment_sums(log_w, scores, starts)
-    shift = np.maximum(top[ia], top[ib])
-    ca = np.exp(top[ia] - shift)
-    cb = np.where(split, np.exp(top[ib] - shift), 0.0)
-    den_f = ca * den[ia] + cb * den[ib]
+    top, den, num = _segment_sums(log_w, scores, starts, lengths)
+    top_a, top_b, den_a, den_b = top[ia], top[ib], den[ia], den[ib]
+    shift = np.maximum(top_a, top_b)
+    ca = np.exp(top_a - shift)
+    cb = np.where(split, np.exp(top_b - shift), 0.0)
+    den_f = ca * den_a + cb * den_b
     if scores is None:
         self_term = log_w[row0]
-        half = top + np.log(den) - np.log(np.diff(starts, append=log_w.size))
-        fine = shift + np.log(den_f) - np.log(m)
+        half = top + np.log(den) - np.log(lengths)
+        fine = shift + np.log(den_f) - np.log(m.repeat(counts))
     else:
         self_term = scores[row0]
         half = num / den[:, None]
@@ -112,16 +144,18 @@ def _chunk_variables(
     ``scored`` its scores are dropped and the variables are log mean
     likelihoods.
     """
-    lv, counts = np.unique(levels, return_counts=True)
+    bins = np.bincount(levels)
+    lv = np.flatnonzero(bins)
+    counts = bins[lv]
     if with_psi and lv.size > 1:
         raise ContractViolationError("the fine-level psi needs a single level per chunk")
     m = m0 * 2**lv
     split = lv > 0
     has_self = ~split | with_psi
     theta, eps, y = _draw_outer(model, design, levels.size, rng)
-    reps = np.repeat(2 ** (lv - lv[0]), counts)
+    reps = (2 ** (lv - lv[0])).repeat(counts)
     fitted = proposal_factory.fit(
-        model, design, *(np.repeat(a, reps, axis=0) for a in (theta, eps, y)))
+        model, design, *(a.repeat(reps, axis=0) for a in (theta, eps, y)))
     theta_in, corr = fitted.sample_inner(rng, int(m[0]))
 
     # Only the first level group can have self rows (level 0, or the single
@@ -141,17 +175,20 @@ def _chunk_variables(
     if lv.size == 1:
         log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
     else:
-        rep = np.repeat(m + has_self, counts)
+        rep = (m + has_self).repeat(counts)
         log_rho, scores = model.loglik_score(
-            design, np.repeat(theta, rep, axis=0), np.repeat(eps, rep, axis=0),
+            design, theta.repeat(rep, axis=0), eps.repeat(rep, axis=0),
             theta_in.reshape(-1, 1, model.s))
     log_w = log_rho.ravel() + corr.ravel()
     scores = scores.reshape(log_w.size, -1) if scored else None
 
     delta, psi = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
-    # Back from level order to the order of ``levels``.
-    order = np.argsort(levels, kind="stable")
-    delta[order], psi[order] = delta.copy(), psi.copy()
+    if lv.size > 1:
+        # Back from level order to the order of ``levels`` (a stable sort of
+        # one-byte keys, levels being at most ``MAX_LEVEL``).
+        out = np.empty_like(delta)
+        out[np.argsort(levels.astype(np.uint8), kind="stable")] = delta
+        delta = out
     return delta, (psi if with_psi else None), fitted.n_fallback
 
 
@@ -195,10 +232,13 @@ def _debiased_sums(
             model, design, proposal_factory, rng, levels, weights.m0,
             scored=scored, antithetic=antithetic,
         )
-        w = weights.weight(levels)
+        # w_l and the inner cost once per level up to the chunk's highest.
+        counts = np.bincount(levels)
+        lv = np.arange(counts.size)
+        w = weights.weight(lv)[levels]
         contrib = var / (w[:, None] if scored else w)
         sq_norm = (contrib**2).reshape(n, -1).sum(axis=1)
-        cost = int(weights.inner_samples(levels).sum())
+        cost = int(weights.inner_samples(lv) @ counts)
         return contrib.sum(axis=0), sq_norm.sum(), cost, n_fallback
 
     return _run_chunks(n_outer, seed, phase, base_index, threads, chunk)

@@ -75,7 +75,20 @@ class Design:
         return self.values.shape[0]
 
     def replace(self, values: np.ndarray) -> "Design":
-        return Design(values=np.asarray(values, dtype=float), lower=self.lower, upper=self.upper)
+        """This design's box at ``values``; only the new values are checked."""
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if values.shape != self.values.shape:
+            raise ContractViolationError(
+                f"design {values} does not have dimension {self.dim}")
+        if not ((self.lower <= values).all() and (values <= self.upper).all()):
+            raise ContractViolationError(
+                f"design {values} violates box bounds [{self.lower}, {self.upper}]"
+            )
+        new = object.__new__(Design)
+        object.__setattr__(new, "values", values)
+        object.__setattr__(new, "lower", self.lower)
+        object.__setattr__(new, "upper", self.upper)
+        return new
 
 
 class ProblemModel:
@@ -87,7 +100,9 @@ class ProblemModel:
     A model that supports the ``laplace`` proposal also has
     :meth:`prior_logpdf_derivs` and two Laplace hooks that this class does
     not define, so that ``hasattr(model, "observation_derivs")`` tells
-    whether the fit can run (the fit itself needs ``s = 3``):
+    whether the fit can run (the fit itself needs ``s = 3``).  The fit reads
+    the prior through :meth:`prior_hessian`, which a model can override to
+    skip the density and gradient it does not use.
 
     - ``observation_derivs(design, theta, second)`` returns ``(value, grad,
       hess)``: the mean observation at ``theta (n, s)`` and its
@@ -127,6 +142,12 @@ class ProblemModel:
         ``(..., s)`` and ``(..., s, s)``.
         """
         raise NotImplementedError
+
+    def prior_hessian(self, theta: np.ndarray) -> np.ndarray:
+        """Hessian of the prior log-density at ``theta (..., s)``, as an array
+        that broadcasts to ``(..., s, s)``: the one prior term of the Laplace
+        fit.  This default takes it from :meth:`prior_logpdf_derivs`."""
+        return self.prior_logpdf_derivs(theta)[2]
 
     # -- forward model ----------------------------------------------------
     def simulate(self, design: Design, theta: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -92,9 +92,11 @@ def _phi_derivs(u, w, T, order: int, out=None):
     # Inside the band |x| < 0.5 the divided differences below cancel badly,
     # and the series in x replaces them.  Elsewhere they lose a few bits at
     # most, and exp(-uT), exp(-wT) <= 1 cannot overflow.
-    idx = np.nonzero(np.abs(dT) < 1.0)
-    xb, mTb = 0.5 * dT[idx], 0.5 * (uT[idx] + wT[idx])
-    dT[idx] = 1.0
+    # Flat indices (``take``/``put``) cost one index array per access, where
+    # a 2-D or 3-D ``nonzero`` tuple costs one per axis.
+    band = np.flatnonzero(np.abs(dT) < 1.0)
+    xb, mTb = 0.5 * dT.take(band), 0.5 * (uT.take(band) + wT.take(band))
+    dT.put(band, 1.0)
     s = np.reciprocal(dT, out=dT)
 
     # Each derivative is a power of T times a dimensionless factor: phi = T p,
@@ -124,21 +126,21 @@ def _phi_derivs(u, w, T, order: int, out=None):
         p_uw = np.subtract(p_u, p_w, out=out[2])
         p_uw *= s
 
-    if xb.size:
+    if band.size:
         # phi = T E S(x), with E = exp(-(u + w) T / 2) and S(x) = sinh(x)/x.
         y = xb * xb
         S, S1 = _horner(_SINHC, y), xb * _horner(_SINHC_D1, y)
         E = np.exp(-mTb)
-        p[idx] = E * S
-        p_T[idx] = E * (S * (1.0 - mTb) + xb * S1)
+        p.put(band, E * S)
+        p_T.put(band, E * (S * (1.0 - mTb) + xb * S1))
         if order >= 1:
-            p_u[idx] = 0.5 * E * (S1 - S)
-            p_w[idx] = -0.5 * E * (S1 + S)
+            p_u.put(band, 0.5 * E * (S1 - S))
+            p_w.put(band, -0.5 * E * (S1 + S))
         if order == 2:
             S2, q = _horner(_SINHC_D2, y), 0.25 * E
-            p_uu[idx] = q * (S2 - 2 * S1 + S)
-            p_ww[idx] = q * (S2 + 2 * S1 + S)
-            p_uw[idx] = q * (S - S2)
+            p_uu.put(band, q * (S2 - 2 * S1 + S))
+            p_ww.put(band, q * (S2 + 2 * S1 + S))
+            p_uw.put(band, q * (S - S2))
 
     p *= T
     if order == 0:
@@ -266,10 +268,12 @@ class PkProblem(ProblemModel):
         theta = np.asarray(theta, dtype=float)
         logpdf = self.prior_logpdf(theta)
         grad = -(theta - p.prior_mean) / p.prior_var
-        hess = np.broadcast_to(
-            -np.eye(3) / p.prior_var, theta.shape[:-1] + (3, 3)
-        ).copy()
+        hess = np.broadcast_to(self.prior_hessian(theta), theta.shape[:-1] + (3, 3)).copy()
         return logpdf, grad, hess
+
+    def prior_hessian(self, theta):
+        """The constant ``(3, 3)`` Hessian of the Gaussian prior log-density."""
+        return -np.eye(3) / self.params.prior_var
 
     # -- forward model --------------------------------------------------------
     def _split_noise(self, eps):

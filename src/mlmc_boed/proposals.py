@@ -215,7 +215,7 @@ def laplace_fit_batch(model, design: Design, theta_star, y):
     gbar, grad, hess = model.observation_derivs(design, theta_star, second=True)
     s_eps = model.observation_variance(gbar)      # evaluated at theta* here
     E = y - gbar
-    _, _, prior_hess = model.prior_logpdf_derivs(theta_star)
+    prior_hess = model.prior_hessian(theta_star)
 
     # J = -grad and H = -hess; the signs are folded into the products below.
     GtSinv = np.swapaxes(grad / s_eps[..., None], 1, 2)           # -J'S^-1, (n, s, t)
@@ -226,7 +226,7 @@ def laplace_fit_batch(model, design: Design, theta_star, y):
 
     gbar_hat, grad_hat, _ = model.observation_derivs(design, means, second=False)
     s_hat = model.observation_variance(gbar_hat)
-    _, _, prior_hess_hat = model.prior_logpdf_derivs(means)
-    prec = np.swapaxes(grad_hat / s_hat[..., None], 1, 2) @ grad_hat - prior_hess_hat
+    prec = (np.swapaxes(grad_hat / s_hat[..., None], 1, 2) @ grad_hat
+            - model.prior_hessian(means))
     covs, bad_inv = _inv3(prec)
     return means, covs, bad | bad_inv

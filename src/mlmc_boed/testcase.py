@@ -69,6 +69,7 @@ class TestCaseProblem(ProblemModel):
 
     def __init__(self, params: TestCaseParams | None = None):
         self.params = params or TestCaseParams()
+        self._gains_at = (None, None)    # (design bytes, gains) of the last design
 
     def default_design(self) -> Design:
         return Design(values=np.array([1.5]), lower=np.array([XI_LOWER]))
@@ -93,10 +94,17 @@ class TestCaseProblem(ProblemModel):
 
     # -- forward model --------------------------------------------------------
     def _gains(self, design: Design):
-        xi = float(design.values[0])
-        g, gp = gain_g(xi)
-        h, hp = gain_h(xi)
-        return np.array([g, h]), np.array([gp, hp])
+        """``(c, c')``, the gains and their derivatives, once per design value:
+        every chunk of an estimate calls ``simulate`` and ``loglik_score``."""
+        key = design.values.tobytes()
+        at, gains = self._gains_at
+        if key != at:
+            xi = float(design.values[0])
+            g, gp = gain_g(xi)
+            h, hp = gain_h(xi)
+            gains = np.array([g, h]), np.array([gp, hp])
+            self._gains_at = (key, gains)
+        return gains
 
     def simulate(self, design, theta, eps):
         self._check_dims(design, theta, eps)

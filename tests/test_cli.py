@@ -239,6 +239,25 @@ def test_cli_import_leaves_out_scipy_and_exports_resolve():
     assert res.returncode == 0, res.stderr
 
 
+def test_closed_stdout_exits_quietly_with_complete_files(tmp_path):
+    # The reader goes away before the first line: nothing goes to stderr,
+    # the status is 0, and the --out files equal those of a normal run.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    args = ["decay", "--problem", "testcase", "--levels", "4",
+            "--samples-per-level", "100", "--seed", "1", "--out"]
+    proc = subprocess.Popen([sys.executable, "-m", "mlmc_boed.cli", *args, tmp_path / "closed"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert run_cli([*args, tmp_path / "open"]) == 0
+    for name in ("decay.csv", "decay.json"):
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+
 @pytest.mark.parametrize("field,document,flags", [
     ("xi0", None, ["--xi0", "1,2"]),
     ("lower", {"lower": [0.1, 0.2]}, []),

@@ -20,6 +20,7 @@ from mlmc_boed import (
     unbiased_gradient,
 )
 from mlmc_boed.gradient import _reduce, _segment_sums
+from reduce_reference import reference_reduce, reference_segment_sums
 
 
 class FlatLikelihoodModel(ProblemModel):
@@ -140,7 +141,7 @@ def test_segment_sums_match_a_per_segment_loop(lengths, seed):
     log_w = rng.normal(scale=30.0, size=sum(lengths))
     scores = rng.normal(size=(log_w.size, 2))
     starts = np.cumsum(lengths) - lengths
-    top, den, num = _segment_sums(log_w, scores, starts)
+    top, den, num = _segment_sums(log_w, scores, starts, lengths)
     for k, (a, size) in enumerate(zip(starts, lengths)):
         seg = slice(a, a + size)
         lin = np.exp(log_w[seg] - log_w[seg].max())
@@ -149,11 +150,49 @@ def test_segment_sums_match_a_per_segment_loop(lengths, seed):
         assert np.allclose(num[k], lin @ scores[seg], rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def group_structures(draw):
+    """``(counts, m, has_self, split)`` of a chunk as ``_chunk_variables``
+    forms it: distinct increasing levels, self rows only at level 0, or a
+    single level with self rows (the ``with_psi`` layout)."""
+    m0 = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):                                   # with_psi
+        lv = np.array([draw(st.integers(0, 5))])
+        has_self = np.ones(1, dtype=bool)
+    else:
+        lv = np.array(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5))))
+        has_self = lv == 0
+    counts = np.array(draw(st.lists(st.integers(1, 6), min_size=lv.size, max_size=lv.size)))
+    return counts, m0 * 2**lv, has_self, lv > 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(group_structures(), st.sampled_from([None, 1, 15]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_reduce_matches_the_reference_bit_for_bit(structure, d, antithetic, seed):
+    counts, m, has_self, split = structure
+    rng = np.random.default_rng(seed)
+    n_rows = int((counts * (m + has_self)).sum())
+    log_w = rng.normal(scale=30.0, size=n_rows)
+    scores = None if d is None else rng.normal(size=(n_rows, d))
+    got = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+    want = reference_reduce(log_w, scores, counts, m, has_self, split, antithetic)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    first = rng.random(n_rows) < 0.3                          # ragged segments
+    first[0] = True
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=n_rows)
+    for a, b in zip(_segment_sums(log_w, scores, starts, lengths),
+                    reference_segment_sums(log_w, scores, starts)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
 def inner_ratio(log_weights, scores):
     """``(log_rho_bar, ratio)`` of one inner batch, as one segment."""
     log_w = np.asarray(log_weights, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    top, den, num = _segment_sums(log_w, scores, np.zeros(1, dtype=np.intp))
+    top, den, num = _segment_sums(log_w, scores, np.zeros(1, dtype=np.intp), [log_w.size])
     return top[0] + np.log(den[0]) - np.log(log_w.size), num[0] / den[0]
 
 

@@ -4,6 +4,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmc_boed import BoxDomain, ContractViolationError, optimize, project
 
@@ -19,12 +21,19 @@ def test_projection_cases(box):
     assert np.allclose(project(np.array([2.5, -0.5]), box), [2.0, -0.5])
 
 
-def test_projection_idempotent(box):
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.normal(scale=5.0, size=2)
-        p1 = project(x, box)
-        assert np.array_equal(project(p1, box), p1)
+_coord = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord, _coord).filter(lambda r: r[0] != r[1]),
+                min_size=1, max_size=4))
+def test_projection_idempotent(rows):
+    # Each row is one coordinate: two distinct bounds and the point.
+    a, b, x = (np.array(col) for col in zip(*rows))
+    box = BoxDomain(lower=np.minimum(a, b), upper=np.maximum(a, b))
+    p1 = project(x, box)
+    assert np.array_equal(project(p1, box), p1)
+    assert np.all((box.lower <= p1) & (p1 <= box.upper))
 
 
 def test_projection_dimension_mismatch(box):

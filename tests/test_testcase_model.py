@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlmc_boed import (
+    ContractViolationError,
     Design,
     TestCaseProblem,
     gain_g,
@@ -95,3 +96,29 @@ def test_eig_maximized_at_interior_optimum():
     u_star = testcase_eig_closed(xi_star)
     for xi in [xi_star - 0.05, xi_star + 0.05, 0.5, 1.5]:
         assert testcase_eig_closed(xi) < u_star
+
+
+def test_gains_follow_the_design_value(model):
+    # The model keeps the gains of the last design: a new value, or the old
+    # value again, must give what a fresh model gives.
+    rng = np.random.default_rng(5)
+    theta, eps = model.sample_prior(rng, 6), model.sample_noise(rng, 6)
+    theta_in = model.sample_prior(rng, 18).reshape(6, 3, 2)
+    for xi in (1.5, 0.4, 1.5, 0.4 + 1e-15):
+        design = Design(np.array([xi]))
+        fresh = TestCaseProblem()
+        assert np.array_equal(model.simulate(design, theta, eps),
+                              fresh.simulate(design, theta, eps))
+        for a, b in zip(model.loglik_score(design, theta, eps, theta_in),
+                        fresh.loglik_score(design, theta, eps, theta_in)):
+            assert np.array_equal(a, b)
+
+
+def test_design_replace_checks_the_new_values_against_the_box():
+    base = Design(np.array([1.0, 2.0]), lower=np.array([0.0, 1.0]), upper=np.array([3.0, 4.0]))
+    moved = base.replace([2.5, 1.0])
+    assert np.array_equal(moved.values, [2.5, 1.0])
+    assert moved.lower is base.lower and moved.upper is base.upper
+    for bad in ([3.5, 2.0], [1.0, 0.5], [np.nan, 2.0], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ContractViolationError):
+            base.replace(bad)
