@@ -21,11 +21,7 @@ from .errors import (
     DomainError,
     NumericalDomainError,
 )
-from .gradient import (
-    GradientEstimate,
-    standard_gradient,
-    unbiased_gradient,
-)
+from .gradient import GradientEstimate, unbiased_gradient
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .optim import BoxDomain, TraceRow, optimize, project
@@ -65,7 +61,6 @@ __all__ = [
     "optimize",
     "pk_mean_response",
     "project",
-    "standard_gradient",
     "testcase_eig_closed",
     "testcase_eig_upper",
     "testcase_optimal_design",

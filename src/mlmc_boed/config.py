@@ -3,10 +3,17 @@
 ``RunConfig`` is schema-validated at construction, serializes to JSON and
 back as a fixed point, and carries defaults that reproduce the benchmark
 settings of the two bundled problems (lognormal test case: Robbins-Monro
-with Polyak averaging from xi0 = 1.5; pharmacokinetic model: AMSGrad from
-the equispaced 15-point schedule on [0, 24] with the 0.9 level-0 weight
-override and Laplace proposals).  A document's omitted fields take its own
-problem's defaults.
+with Polyak averaging from xi0 = 1.5 in [1e-8, 10]; pharmacokinetic model:
+AMSGrad from the equispaced 15-point schedule in [0, 24] with the 0.9
+level-0 weight override and Laplace proposals).  A document's omitted fields
+take its own problem's defaults.
+
+This is the one statement of each problem's initial design ``xi0`` and box
+``[lower, upper]``: the field defaults are the test case's, and
+:func:`default_config` gives the pk ones.  :meth:`RunConfig.make_box` builds
+the optimizer's box from them and :meth:`RunConfig.make_design` the initial
+design, which must lie in it.  Each has one entry per design component; an
+empty list is an error like any other wrong length.
 """
 
 from __future__ import annotations
@@ -71,9 +78,9 @@ class RunConfig:
     n_outer: int = 2000
     max_iters: int = 10_000
     seed: int = 0
-    lower: list[float] = field(default_factory=list)   # empty = problem default
-    upper: list[float] = field(default_factory=list)
-    xi0: list[float] = field(default_factory=list)
+    lower: list[float] = field(default_factory=lambda: [XI_LOWER])
+    upper: list[float] = field(default_factory=lambda: [10.0])
+    xi0: list[float] = field(default_factory=lambda: [1.5])
     eig_every: int = 500
     eig_n_outer: int = 2000
     levels: int = 9
@@ -107,10 +114,9 @@ class RunConfig:
         for name in ("amsgrad_beta1", "amsgrad_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must lie in [0, 1)")
-        # Validate m0/tau/w0, the bound/initial-design shapes and the box
-        # (built from the design) eagerly.
+        # Validate m0/tau/w0, the box and the initial design eagerly.
         self.make_weights()
-        self.make_box()
+        self.make_design()
         if self.proposal == "laplace" and not hasattr(self.make_model(), "observation_derivs"):
             raise ConfigurationError(
                 f"the laplace proposal needs Laplace-fit hooks; the {self.problem} model has none"
@@ -121,29 +127,25 @@ class RunConfig:
     def make_model(self):
         return TestCaseProblem() if self.problem == "testcase" else PkProblem()
 
-    def make_design(self) -> Design:
-        model = self.make_model()
-        base = model.default_design()
+    def make_box(self) -> BoxDomain:
+        d = self.make_model().d
         for name in ("xi0", "lower", "upper"):
             given = getattr(self, name)
-            if given and len(given) != model.d:
+            if len(given) != d:
                 raise ConfigurationError(
-                    f"{name} has {len(given)} components; the {self.problem} design has {model.d}"
-                )
-        lower = np.asarray(self.lower, dtype=float) if self.lower else base.lower
-        upper = np.asarray(self.upper, dtype=float) if self.upper else base.upper
-        values = np.asarray(self.xi0, dtype=float) if self.xi0 else base.values
+                    f"{name} has {len(given)} components; the {self.problem} design has {d}")
         try:
-            return Design(values=values, lower=lower, upper=upper)
-        except Exception as exc:
-            raise ConfigurationError(str(exc)) from exc
-
-    def make_box(self) -> BoxDomain:
-        d = self.make_design()
-        try:
-            return BoxDomain(lower=d.lower, upper=d.upper)
+            return BoxDomain(lower=self.lower, upper=self.upper)
         except ContractViolationError as exc:
             raise ConfigurationError(str(exc)) from exc
+
+    def make_design(self) -> Design:
+        box = self.make_box()
+        xi0 = np.asarray(self.xi0, dtype=float)
+        if not ((box.lower <= xi0).all() and (xi0 <= box.upper).all()):
+            raise ConfigurationError(
+                f"xi0 {self.xi0} lies outside the box [{self.lower}, {self.upper}]")
+        return Design(xi0)
 
     def make_weights(self) -> LevelWeights:
         return LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)
@@ -186,9 +188,9 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 def default_config(problem: str) -> RunConfig:
     """Benchmark settings for each bundled problem: what it changes from the
-    ``RunConfig`` field defaults."""
+    ``RunConfig`` field defaults, which are the test case's."""
     if problem == "testcase":
-        return RunConfig(xi0=[1.5], lower=[XI_LOWER], upper=[10.0])
+        return RunConfig()
     if problem == "pk":
         return RunConfig(
             problem="pk",

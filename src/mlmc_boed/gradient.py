@@ -3,8 +3,9 @@
 * :func:`unbiased_gradient` -- the randomized-level debiased estimator that
   averages ``delta_psi_l / w_l`` over outer samples, with antithetic (two
   half-batches averaged) or naive (single half-batch) corrections.
-* :func:`standard_gradient` -- the biased fixed-M nested MC estimator, which
-  is the same estimator under a point mass at level 0 with ``m0 = M``.
+  The biased fixed-M nested MC estimator is the same estimator under a
+  point mass at level 0 with ``m0 = M``:
+  ``unbiased_gradient(..., LevelWeights(m0=M, w0_override=1.0), ...)``.
 
 All of these, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk draws its levels first (a point
@@ -280,25 +281,3 @@ def unbiased_gradient(
         phase=phase, base_index=base_index, scored=True, antithetic=antithetic,
     )
     return _gradient_estimate(n_outer, sums)
-
-
-def standard_gradient(
-    model: ProblemModel,
-    design: Design,
-    n_outer: int,
-    m_inner: int,
-    proposal_factory,
-    seed: int,
-    *,
-    threads: int = 1,
-    phase: int = PHASE_GRADIENT,
-    base_index: int = 0,
-) -> GradientEstimate:
-    """Biased fixed-M nested MC gradient estimate: the debiased estimator
-    under a point mass at level 0 with ``m0 = m_inner``."""
-    if m_inner < 1:
-        raise ContractViolationError("m_inner must be at least 1")
-    return unbiased_gradient(
-        model, design, n_outer, LevelWeights(m0=m_inner, w0_override=1.0),
-        proposal_factory, seed, threads=threads, phase=phase, base_index=base_index,
-    )

@@ -11,11 +11,15 @@ dependence).
 All operations are pure and vectorized: latent/noise arguments carry a
 leading batch axis ``n`` and inner latent values carry axes ``(n, M)``.
 Randomness never lives here; samplers receive an explicit generator.
+
+A :class:`Design` is the design vector alone.  The box of admissible designs
+lives in :class:`~mlmc_boed.optim.BoxDomain`, and each problem's box and
+initial design in its run configuration (:mod:`mlmc_boed.config`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,51 +47,27 @@ def equal_runs(*rows):
 
 @dataclass(frozen=True)
 class Design:
-    """A point in the design space with its box-feasible domain.
-
-    Bounds may be infinite.  ``values`` must satisfy
-    ``lower <= values <= upper`` componentwise.
-    """
+    """A design vector: one or more finite values."""
 
     values: np.ndarray
-    lower: np.ndarray = field(default=None)  # type: ignore[assignment]
-    upper: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        d = values.shape[0]
-        lower = self.lower if self.lower is not None else np.full(d, -np.inf)
-        upper = self.upper if self.upper is not None else np.full(d, np.inf)
-        lower = np.broadcast_to(np.asarray(lower, dtype=float), (d,)).copy()
-        upper = np.broadcast_to(np.asarray(upper, dtype=float), (d,)).copy()
-        if d < 1:
-            raise ContractViolationError("design must have at least one component")
-        if not (np.all(lower <= values) and np.all(values <= upper)):
+        if values.ndim != 1 or values.shape[0] < 1 or not np.isfinite(values).all():
             raise ContractViolationError(
-                f"design {values} violates box bounds [{lower}, {upper}]"
-            )
+                f"design {values} is not a vector of one or more finite values")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
     def replace(self, values: np.ndarray) -> "Design":
-        """This design's box at ``values``; only the new values are checked."""
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if values.shape != self.values.shape:
+        """The design at ``values``, which must have this design's length."""
+        new = Design(values)
+        if new.dim != self.dim:
             raise ContractViolationError(
-                f"design {values} does not have dimension {self.dim}")
-        if not ((self.lower <= values).all() and (values <= self.upper).all()):
-            raise ContractViolationError(
-                f"design {values} violates box bounds [{self.lower}, {self.upper}]"
-            )
-        new = object.__new__(Design)
-        object.__setattr__(new, "values", values)
-        object.__setattr__(new, "lower", self.lower)
-        object.__setattr__(new, "upper", self.upper)
+                f"design {new.values} does not have dimension {self.dim}")
         return new
 
 
@@ -108,9 +88,9 @@ class ProblemModel:
       hess)``: the mean observation at ``theta (n, s)`` and its
       theta-derivatives, with shapes ``(n, t)``, ``(n, t, s)`` and
       ``(s (s + 1) / 2, n, t)``.  ``hess`` holds the distinct entries of each
-      symmetric Hessian, the upper triangle row by row (for ``s = 3``:
-      ``(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)``), time axis last;
-      it is ``None`` when ``second`` is false.
+      symmetric Hessian, those on and above the diagonal row by row (for
+      ``s = 3``: ``(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)``), time
+      axis last; it is ``None`` when ``second`` is false.
     - ``observation_variance(value)`` returns the per-component variance of
       the observation noise at mean ``value``, in the shape of ``value``.
     """
@@ -178,9 +158,6 @@ class ProblemModel:
         The self-evaluation at ``theta_inner = theta`` uses this same code
         path (pass ``theta[:, None, :]``).
         """
-        raise NotImplementedError
-
-    def default_design(self) -> Design:
         raise NotImplementedError
 
     def _check_dims(self, design: Design, theta: np.ndarray, eps: np.ndarray):

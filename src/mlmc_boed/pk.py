@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import LOG_2PI, Design, ProblemModel, equal_runs
+from .model import LOG_2PI, ProblemModel, equal_runs
 
 
 @dataclass(frozen=True)
@@ -237,14 +237,6 @@ class PkProblem(ProblemModel):
         self.d = self.t = self.params.n_times
         self.s = 3
         self.s_noise = 2 * self.params.n_times
-
-    def default_design(self) -> Design:
-        k = self.params.n_times
-        return Design(
-            values=np.arange(1.0, k + 1.0),
-            lower=np.zeros(k),
-            upper=np.full(k, 24.0),
-        )
 
     # -- prior --------------------------------------------------------------
     def sample_prior(self, rng, n):

@@ -71,9 +71,6 @@ class TestCaseProblem(ProblemModel):
         self.params = params or TestCaseParams()
         self._gains_at = (None, None)    # (design bytes, gains) of the last design
 
-    def default_design(self) -> Design:
-        return Design(values=np.array([1.5]), lower=np.array([XI_LOWER]))
-
     # -- prior --------------------------------------------------------------
     def sample_prior(self, rng, n):
         p = self.params

@@ -19,10 +19,10 @@ from mlmc_boed import (
     PriorProposalFactory,
     TestCaseProblem,
     decay_study,
+    default_config,
     eig_nested,
     laplace_fit_batch,
     optimize,
-    standard_gradient,
     testcase_eig_closed,
     testcase_optimal_design,
     unbiased_gradient,
@@ -74,7 +74,7 @@ def test_criterion_02_antithetic_coupling_identities():
     )
     pk = PkProblem()
     v2 = _max_antithetic_violation(
-        pk, pk.default_design(), LaplaceProposalFactory(), 11, 2000
+        pk, Design(default_config("pk").xi0), LaplaceProposalFactory(), 11, 2000
     )
     worst = max(v1, v2)
     ok = worst <= 1e-12
@@ -113,8 +113,9 @@ def test_criterion_04_single_inner_sample_estimates_upper_bound_gradient():
     design = Design(np.array([1.5]))
     xi = 1.5
     oracle = xi * np.exp(-(xi**2))  # gradient of g^2 + h^2
-    est = standard_gradient(
-        model, design, 1_000_000, 1, PriorProposalFactory(), seed=13, threads=4
+    est = unbiased_gradient(
+        model, design, 1_000_000, LevelWeights(m0=1, w0_override=1.0),
+        PriorProposalFactory(), seed=13, threads=4,
     )
     se = np.sqrt(
         max(est.per_sample_sq_norm_mean - est.grad[0] ** 2, 0.0) / est.n_outer
@@ -165,8 +166,8 @@ def test_criterion_07_stochastic_ascent_converges():
     model = TestCaseProblem()
     w = LevelWeights(tau=1.5)
     factory = PriorProposalFactory()
-    base = Design(np.array([1.5]), lower=np.array([1e-8]), upper=np.array([10.0]))
-    box = BoxDomain(lower=base.lower, upper=base.upper)
+    base = Design(np.array([1.5]))
+    box = BoxDomain(lower=np.array([1e-8]), upper=np.array([10.0]))
     seed = 2024
 
     def gradient_fn(t, values):
@@ -204,8 +205,8 @@ def test_criterion_08_pk_design_improves_information_gain():
     pk = PkProblem()
     w = LevelWeights(tau=1.5, w0_override=0.9)
     factory = LaplaceProposalFactory()
-    base = pk.default_design()
-    box = BoxDomain(lower=base.lower, upper=base.upper)
+    cfg = default_config("pk")
+    base, box = cfg.make_design(), cfg.make_box()
     seed = 321
 
     def gradient_fn(t, values):

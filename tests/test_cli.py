@@ -262,9 +262,12 @@ def test_closed_stdout_exits_quietly_with_complete_files(tmp_path):
     ("xi0", None, ["--xi0", "1,2"]),
     ("lower", {"lower": [0.1, 0.2]}, []),
     ("upper", {"problem": "pk", "upper": [24.0] * 14}, []),
+    ("upper", {"upper": []}, []),
+    ("lower", {"problem": "pk", "lower": []}, []),
+    ("xi0", None, ["--xi0", ""]),
 ])
 def test_design_length_is_a_configuration_error(tmp_path, capsys, field, document, flags):
-    args = ["eig", "--n-outer", "32", "--out", tmp_path, *flags]
+    args = ["eig", "--n-outer", "32", "--out", tmp_path / "out", *flags]
     if document is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(document))
@@ -276,7 +279,21 @@ def test_design_length_is_a_configuration_error(tmp_path, capsys, field, documen
     err = json.loads(lines[0])
     assert err["error"] == "configuration"
     assert err["message"].startswith(f"{field} has ")
-    assert not (tmp_path / "eig.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_ascent_pinned_to_a_box_edge_completes(tmp_path):
+    # Every step pushes past the upper bound, so each iterate is clamped to
+    # it and their running mean rounds one ulp past it.
+    cfg_path = tmp_path / "pin.json"
+    cfg_path.write_text(json.dumps({"lower": [0.1], "upper": [0.7], "xi0": [0.7],
+                                    "max_iters": 8, "eig_every": 8, "n_outer": 50000,
+                                    "eig_n_outer": 200}))
+    out = tmp_path / "out"
+    assert run_cli(["optimize", "--config", cfg_path, "--seed", "1", "--out", out]) == 0
+    summary = json.loads((out / "optimize.json").read_text())
+    assert summary["iterations"] == 8 and summary["final_design"] == [0.7]
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 9
 
 
 @pytest.mark.parametrize("levels", ["0", "1"])

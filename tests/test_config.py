@@ -89,7 +89,9 @@ def test_invalid_values_rejected():
         with pytest.raises(ConfigurationError):
             RunConfig(**bad)
     assert RunConfig(amsgrad_beta1=0.0, amsgrad_beta2=0.0).amsgrad_beta1 == 0.0
-    assert RunConfig(problem="pk", proposal="laplace").proposal == "laplace"
+    pk = default_config("pk")
+    assert RunConfig(problem="pk", proposal="laplace", xi0=pk.xi0, lower=pk.lower,
+                     upper=pk.upper).proposal == "laplace"
 
 
 def test_unknown_keys_rejected():

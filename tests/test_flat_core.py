@@ -19,9 +19,9 @@ from mlmc_boed import (
     PriorProposalFactory,
     TestCaseProblem,
     decay_study,
+    default_config,
     eig_nested,
     eig_unbiased_mlmc,
-    standard_gradient,
     unbiased_gradient,
 )
 from mlmc_boed.proposals import FittedGaussian
@@ -57,7 +57,8 @@ def _case(name, m0=1):
                 LevelWeights(m0=m0, tau=1.5), PriorProposalFactory())
     pk = PkProblem()
     factory = ForcedFallbackFactory() if name == "pk-fallback" else LaplaceProposalFactory()
-    return pk, pk.default_design(), LevelWeights(m0=m0, tau=1.5, w0_override=0.9), factory
+    return (pk, Design(default_config("pk").xi0),
+            LevelWeights(m0=m0, tau=1.5, w0_override=0.9), factory)
 
 
 GRADIENT_CASES = [
@@ -89,7 +90,8 @@ def test_unbiased_gradient_matches_loop(name, antithetic, m0, n_outer):
 ])
 def test_standard_gradient_matches_loop(name, m_inner, n_outer):
     model, design, _, factory = _case(name)
-    est = standard_gradient(model, design, n_outer, m_inner, factory, 32)
+    est = unbiased_gradient(model, design, n_outer, LevelWeights(m0=m_inner, w0_override=1.0),
+                            factory, 32)
     grad, sq, cost, n_fb = ref.standard_gradient(model, design, n_outer, m_inner, factory, 32)
     assert est.total_cost == cost
     assert est.n_fallback == n_fb

@@ -16,7 +16,6 @@ from mlmc_boed import (
     TestCaseProblem,
     decay_study,
     eig_nested,
-    standard_gradient,
     unbiased_gradient,
 )
 from mlmc_boed.gradient import _reduce, _segment_sums
@@ -65,7 +64,8 @@ def test_flat_likelihood_gives_zero_gradient_variable():
     model = FlatLikelihoodModel()
     design = Design(np.array([2.0]))
     # Fixed M = 8, then randomized levels (0..3 at this seed).
-    psi = standard_gradient(model, design, 64, 8, PriorProposalFactory(), 0)
+    psi = unbiased_gradient(model, design, 64, LevelWeights(m0=8, w0_override=1.0),
+                            PriorProposalFactory(), 0)
     assert np.allclose(psi.grad, 0.0, atol=1e-14)
     assert psi.per_sample_sq_norm_mean < 1e-28
     delta = unbiased_gradient(model, design, 64, LevelWeights(tau=1.5), PriorProposalFactory(), 1)
@@ -254,8 +254,9 @@ def test_unbiased_gradient_deterministic_across_threads():
 def test_standard_gradient_deterministic_across_threads():
     model = TestCaseProblem()
     design = Design(np.array([1.5]))
-    a = standard_gradient(model, design, 2000, 4, PriorProposalFactory(), 9, threads=1)
-    b = standard_gradient(model, design, 2000, 4, PriorProposalFactory(), 9, threads=3)
+    fixed_m = LevelWeights(m0=4, w0_override=1.0)
+    a = unbiased_gradient(model, design, 2000, fixed_m, PriorProposalFactory(), 9, threads=1)
+    b = unbiased_gradient(model, design, 2000, fixed_m, PriorProposalFactory(), 9, threads=3)
     assert np.array_equal(a.grad, b.grad)
 
 
@@ -283,7 +284,7 @@ def test_invalid_sample_count_rejected():
         unbiased_gradient(model, design, 0, LevelWeights(), PriorProposalFactory(), 0)
 
 
-@pytest.mark.parametrize("estimator", [standard_gradient, eig_nested])
+@pytest.mark.parametrize("estimator", [eig_nested])
 def test_fixed_m_estimators_reject_an_empty_inner_batch(estimator):
     class NoDraws(TestCaseProblem):
         def sample_prior(self, rng, n):

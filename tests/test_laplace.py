@@ -10,6 +10,7 @@ from mlmc_boed import (
     Design,
     LaplaceProposalFactory,
     PkProblem,
+    default_config,
     laplace_fit_batch,
 )
 from mlmc_boed.proposals import FittedGaussian, _cholesky3, _hessian_term, _inv3, _solve3
@@ -53,7 +54,7 @@ def test_linear_gaussian_fit_is_exact(linear_model):
 
 def test_zero_residual_keeps_the_anchor_point():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     theta = pk.params.prior_mean[None, :].copy()
     gbar, _, _ = pk.observation_derivs(design, theta, second=False)
     means, covs, fallback = laplace_fit_batch(pk, design, theta, gbar)
@@ -63,7 +64,7 @@ def test_zero_residual_keeps_the_anchor_point():
 
 def test_posterior_covariance_contracts_the_prior():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(2)
     theta = pk.sample_prior(rng, 50)
     eps = pk.sample_noise(rng, 50)
@@ -97,7 +98,7 @@ def test_fit_invariant_under_observation_reordering(linear_model):
 
 def test_single_sample_wrapper():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(4)
     theta = pk.sample_prior(rng, 1)[0]
     eps = pk.sample_noise(rng, 1)
@@ -111,7 +112,7 @@ def test_single_sample_wrapper():
 
 def test_fitted_gaussian_proposal_density_and_moments():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(5)
     theta = pk.sample_prior(rng, 3)
     eps = pk.sample_noise(rng, 3)
@@ -135,7 +136,7 @@ def test_fitted_gaussian_proposal_density_and_moments():
 def test_proposal_concentrates_near_truth():
     # posterior sd must be far below prior sd for an informative schedule
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(7)
     theta = pk.sample_prior(rng, 100)
     eps = pk.sample_noise(rng, 100)
@@ -154,7 +155,7 @@ RUNS = np.array([1, 4, 2, 1, 8, 2])
 
 def _repeated_rows(seed, infinite=()):
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(seed)
     theta = pk.sample_prior(rng, RUNS.size)
     eps = pk.sample_noise(rng, RUNS.size)
@@ -204,7 +205,7 @@ def _row_rel_err(a, ref):
 
 def test_fit_matches_the_lapack_reference_on_pk_prior_draws():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(11)
     n = 10_000
     theta = pk.sample_prior(rng, n)
@@ -290,7 +291,7 @@ def test_closed_form_3x3_matches_numpy_linalg_per_row(name):
 
 def test_hessian_term_contracts_the_full_hessian():
     pk = PkProblem()
-    design = pk.default_design()
+    design = Design(default_config("pk").xi0)
     rng = np.random.default_rng(14)
     theta = pk.sample_prior(rng, 40)
     _, _, hess = pk.observation_derivs(design, theta, second=True)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_boed import BoxDomain, ContractViolationError, optimize, project
+from mlmc_boed import (
+    BoxDomain,
+    ContractViolationError,
+    RunConfig,
+    eig_unbiased_mlmc,
+    optimize,
+    project,
+)
 
 
 @pytest.fixture
@@ -80,6 +87,19 @@ def test_rm_step_respects_box():
     box = BoxDomain(lower=np.array([0.0]), upper=np.array([1.0]))
     trace = optimize(np.array([0.9]), box, scripted([5.0]), 1, rm_c=10.0)
     assert trace[1].design[0] == 1.0
+
+
+def test_polyak_mean_past_a_box_edge_is_still_evaluated():
+    # The iterates sit on the upper bound, and their mean rounds one ulp past
+    # it: the design it names is valid input for the estimators.
+    cfg = RunConfig(lower=[0.1], upper=[0.7], xi0=[0.7], n_outer=64)
+    base, box = cfg.make_design(), cfg.make_box()
+    trace = optimize(base.values, box, lambda t, x: (np.ones(1), 1), 8)
+    assert any(row.polyak[0] > box.upper[0] for row in trace)
+    for row in trace:
+        est = eig_unbiased_mlmc(cfg.make_model(), base.replace(row.polyak), cfg.n_outer,
+                                cfg.make_weights(), cfg.make_proposal_factory(), row.t)
+        assert np.isfinite(est.value)
 
 
 def test_amsgrad_zero_gradient_is_fixed_point():

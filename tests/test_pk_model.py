@@ -5,7 +5,7 @@ import pytest
 from laplace_reference import full_hessian
 from scipy.stats import norm
 
-from mlmc_boed import Design, DomainError, PkParams, PkProblem, pk_mean_response
+from mlmc_boed import Design, DomainError, PkParams, PkProblem, default_config, pk_mean_response
 
 PRIOR_MEANS = np.array([0.0, np.log(0.1), np.log(20.0)])
 
@@ -106,7 +106,7 @@ def test_prior_derivs(model):
 
 
 def test_simulate_mixes_noise_per_time(model):
-    design = model.default_design()
+    design = Design(default_config("pk").xi0)
     theta = PRIOR_MEANS[None, :]
     eps = np.zeros((1, 30))
     eps[0, 0] = 0.5   # multiplicative on time 1
@@ -123,7 +123,7 @@ def test_loglik_matches_normal_density(model):
     theta = model.sample_prior(rng, 4)
     eps = model.sample_noise(rng, 4)
     inner = model.sample_prior(rng, 8).reshape(4, 2, 3)
-    design = model.default_design()
+    design = Design(default_config("pk").xi0)
     y = model.simulate(design, theta, eps)
     log_rho, _ = model.loglik_score(design, theta, eps, inner)
     p = model.params
@@ -138,7 +138,7 @@ def test_score_matches_finite_difference_per_time(model):
     theta = model.sample_prior(rng, 3)
     eps = model.sample_noise(rng, 3)
     inner = model.sample_prior(rng, 6).reshape(3, 2, 3)
-    design = model.default_design()
+    design = Design(default_config("pk").xi0)
     _, score = model.loglik_score(design, theta, eps, inner)
     e = 1e-6
     for j in [0, 4, 14]:
@@ -153,7 +153,7 @@ def test_score_matches_finite_difference_per_time(model):
 def test_custom_params_propagate():
     small = PkProblem(PkParams(n_times=4))
     assert small.d == 4 and small.s_noise == 8
-    design = small.default_design()
+    design = Design(np.arange(1.0, 5.0))
     assert design.dim == 4
     rng = np.random.default_rng(6)
     theta = small.sample_prior(rng, 2)
@@ -166,7 +166,7 @@ def test_loglik_rows_sharing_theta_but_not_eps(model):
     # The ragged layout repeats each outer theta over consecutive rows while
     # eps and the inner value change; a theta may also come back later.
     rng = np.random.default_rng(7)
-    design = model.default_design()
+    design = Design(default_config("pk").xi0)
     theta = model.sample_prior(rng, 3)[[0, 0, 1, 2, 2, 2, 0]]
     eps = model.sample_noise(rng, 7)
     inner = model.sample_prior(rng, 7).reshape(7, 1, 3)

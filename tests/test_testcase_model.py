@@ -114,11 +114,10 @@ def test_gains_follow_the_design_value(model):
             assert np.array_equal(a, b)
 
 
-def test_design_replace_checks_the_new_values_against_the_box():
-    base = Design(np.array([1.0, 2.0]), lower=np.array([0.0, 1.0]), upper=np.array([3.0, 4.0]))
+def test_design_replace_checks_the_new_values():
+    base = Design(np.array([1.0, 2.0]))
     moved = base.replace([2.5, 1.0])
     assert np.array_equal(moved.values, [2.5, 1.0])
-    assert moved.lower is base.lower and moved.upper is base.upper
-    for bad in ([3.5, 2.0], [1.0, 0.5], [np.nan, 2.0], [1.0], [1.0, 2.0, 3.0]):
+    for bad in ([np.nan, 2.0], [1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(ContractViolationError):
             base.replace(bad)
