@@ -60,8 +60,10 @@ def _fmt(x) -> str:
 
 
 def _parse_floats(text: str) -> list[float]:
+    """The numbers of a comma-separated list; an empty item is an error, and
+    an empty text the empty list."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",")] if text.strip() else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
 

@@ -10,11 +10,16 @@
 All of these, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk draws its levels first (a point
 mass draws nothing), then all its outer samples sorted by level, then makes
-one proposal fit and one inner draw.  The likelihood is evaluated once per
-chunk, and one segmented reduction forms every half-batch sum under its own
-max shift (inner averages are self-normalized, immune to underflow).  Each
-chunk owns a deterministic RNG sub-stream, so results are bit-reproducible
-for a fixed master seed no matter how many workers are used.
+one proposal fit and one inner draw.  The rest runs over blocks of whole
+outer samples, each holding at most ``_BLOCK_ENTRIES`` likelihood entries
+(or one sample), so that a wide chunk's array passes stay near cache size;
+a chunk within that budget is one block.  Each block makes one likelihood
+call, and one segmented reduction forms every half-batch sum under its own
+max shift (inner averages are self-normalized, immune to underflow).  Every
+value depends only on its own sample's rows, so block boundaries change no
+bit.  Each chunk owns a deterministic RNG sub-stream, so results are
+bit-reproducible for a fixed master seed no matter how many workers are
+used.
 
 The reduction builds its segment indices from the level groups alone.  A
 sample has one segment per half of its inner rows, or one for the whole
@@ -127,6 +132,69 @@ def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
     return theta, eps, y
 
 
+# Likelihood entries (rows times ``model.t``) a block of whole outer samples
+# may hold; a wider sample is a block of its own.  2**17 entries (2**16
+# test-case rows) keep a block's arrays near the size of a core's cache.
+_BLOCK_ENTRIES = 2**17
+
+
+def _blocks(counts, m, entries):
+    """Consecutive blocks of a chunk's samples in level order, each holding
+    at most ``_BLOCK_ENTRIES`` likelihood entries, or one sample.
+
+    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows and
+    ``entries[g]`` entries each.  A block is ``(samples, rows, groups, nb)``:
+    slices of its samples, of their inner rows and of the groups it meets,
+    and its sample count in each of those groups.
+    """
+    ends = counts.cumsum()
+    # Entries and inner rows of the samples before each sample.
+    before = np.append(0, entries.repeat(counts).cumsum())
+    rows = np.append(0, m.repeat(counts).cumsum())
+    blocks, a = [], 0
+    while a < ends[-1]:
+        b = int(np.searchsorted(before, before[a] + _BLOCK_ENTRIES, side="right")) - 1
+        b = max(b, a + 1)
+        g0, g1 = np.searchsorted(ends, [a, b - 1], side="right")   # groups of a, b - 1
+        g = slice(g0, g1 + 1)
+        nb = np.minimum(ends[g], b) - np.maximum(ends[g] - counts[g], a)
+        blocks.append((slice(a, b), slice(rows[a], rows[b]), g, nb))
+        a = b
+    return blocks
+
+
+def _block_variables(model, design, theta, eps, inner, corr, counts, m, has_self,
+                     split, scored, antithetic):
+    """``(delta, psi)`` of one block of whole samples, in level order.
+
+    ``inner (rows, s)`` and ``corr (rows,)`` hold the block's inner samples
+    and their importance corrections, sample by sample.
+    """
+    s = model.s
+    n0, k0 = int(counts[0]), int(counts[0] * m[0])     # first group: samples, inner rows
+    # Only the first level group can have self rows (level 0, or the single
+    # level of a ``with_psi`` chunk): they go before each sample's inner rows.
+    if has_self[0]:
+        head = np.concatenate([theta[:n0, None, :], inner[:k0].reshape(n0, -1, s)], axis=1)
+        inner = head if counts.size == 1 else np.concatenate([head.reshape(-1, s), inner[k0:]])
+    if counts.size == 1:
+        log_rho, scores = model.loglik_score(design, theta, eps, inner.reshape(n0, -1, s))
+    else:
+        rep = (m + has_self).repeat(counts)
+        log_rho, scores = model.loglik_score(
+            design, theta.repeat(rep, axis=0), eps.repeat(rep, axis=0),
+            inner.reshape(-1, 1, s))
+    # The importance correction, added in place to the inner rows only.
+    log_w = log_rho.reshape(-1)
+    if has_self[0]:
+        log_w[: n0 + k0].reshape(n0, -1)[:, 1:] += corr[:k0].reshape(n0, -1)
+        log_w[n0 + k0 :] += corr[k0:]
+    else:
+        log_w += corr
+    scores = scores.reshape(log_w.size, -1) if scored else None
+    return _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+
+
 def _chunk_variables(
     model, design, proposal_factory, rng, levels, m0, *,
     scored=True, antithetic=True, with_psi=False,
@@ -139,10 +207,11 @@ def _chunk_variables(
     The outer samples are drawn in one call, sorted by level.  The one
     proposal fit takes a level-``l`` sample as ``2**(l - l_min)`` equal rows,
     and the one inner draw gives each row ``m0 * 2**l_min`` samples, so a
-    sample's rows hold its inner samples, first half first.  One
-    ``loglik_score`` call uses the ``(n, M)`` shape when all samples share
-    one ``M``, else the ``(N, 1)`` shape with outer rows repeated; without
-    ``scored`` its scores are dropped and the variables are log mean
+    sample's rows hold its inner samples, first half first.  The rest runs
+    per block of whole samples (:func:`_blocks`): one ``loglik_score`` call,
+    in the ``(n, M)`` shape when the block's samples share one ``M``, else
+    in the ``(N, 1)`` shape with outer rows repeated, and one reduction.
+    Without ``scored`` the scores are dropped and the variables are log mean
     likelihoods.
     """
     bins = np.bincount(levels)
@@ -158,32 +227,20 @@ def _chunk_variables(
     fitted = proposal_factory.fit(
         model, design, *(a.repeat(reps, axis=0) for a in (theta, eps, y)))
     theta_in, corr = fitted.sample_inner(rng, int(m[0]))
+    theta_in, corr = theta_in.reshape(-1, model.s), corr.reshape(-1)
 
-    # Only the first level group can have self rows (level 0, or the single
-    # level of a ``with_psi`` chunk): they go before each sample's inner rows.
-    # Rebinding ``theta_in`` and ``corr`` frees the draws before the likelihood
-    # call, so its arrays can reuse their memory.
-    n0 = int(counts[0])
-    if has_self[0]:
-        head = np.concatenate([theta[:n0, None, :], theta_in[:n0]], axis=1)
-        head_corr = np.concatenate([np.zeros((n0, 1)), corr[:n0]], axis=1)
-        if lv.size == 1:
-            theta_in, corr = head, head_corr
-        else:
-            theta_in = np.concatenate([head.reshape(-1, model.s),
-                                       theta_in[n0:].reshape(-1, model.s)])
-            corr = np.concatenate([head_corr.ravel(), corr[n0:].ravel()])
-    if lv.size == 1:
-        log_rho, scores = model.loglik_score(design, theta, eps, theta_in)
+    # Likelihood rows: every inner sample, and the first group's self rows.
+    n_rows = len(theta_in) + int(counts[0]) * bool(has_self[0])
+    if n_rows * model.t <= _BLOCK_ENTRIES:          # the chunk is one block
+        delta, psi = _block_variables(model, design, theta, eps, theta_in, corr, counts, m,
+                                      has_self, split, scored, antithetic)
     else:
-        rep = (m + has_self).repeat(counts)
-        log_rho, scores = model.loglik_score(
-            design, theta.repeat(rep, axis=0), eps.repeat(rep, axis=0),
-            theta_in.reshape(-1, 1, model.s))
-    log_w = log_rho.ravel() + corr.ravel()
-    scores = scores.reshape(log_w.size, -1) if scored else None
-
-    delta, psi = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+        parts = [
+            _block_variables(model, design, theta[i], eps[i], theta_in[r], corr[r], nb,
+                             m[g], has_self[g], split[g], scored, antithetic)
+            for i, r, g, nb in _blocks(counts, m, (m + has_self) * model.t)
+        ]
+        delta, psi = (np.concatenate(p) for p in zip(*parts))
     if lv.size > 1:
         # Back from level order to the order of ``levels`` (a stable sort of
         # one-byte keys, levels being at most ``MAX_LEVEL``).

@@ -154,7 +154,8 @@ class ProblemModel:
         dependence of the likelihood.
 
         Shapes: ``theta (n, s)``, ``eps (n, s_noise)``, ``theta_inner
-        (n, M, s)``; returns ``(log_rho (n, M), score (n, M, d))``.
+        (n, M, s)``; returns ``(log_rho (n, M), score (n, M, d))``, new
+        arrays that the estimators update in place.
         The self-evaluation at ``theta_inner = theta`` uses this same code
         path (pass ``theta[:, None, :]``).
         """

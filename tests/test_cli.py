@@ -282,6 +282,28 @@ def test_design_length_is_a_configuration_error(tmp_path, capsys, field, documen
     assert not (tmp_path / "out").exists()
 
 
+PK_XI0_WITH_GAP = ",".join(["1", "2", "3", "4", "5", "6", "7", "", *map(str, range(8, 16))])
+
+
+@pytest.mark.parametrize("problem,xi0", [
+    ("testcase", "1.5,"),
+    ("testcase", ",,1.5"),
+    ("testcase", "1.5, "),
+    ("pk", PK_XI0_WITH_GAP),
+])
+def test_empty_list_item_is_a_configuration_error(tmp_path, capsys, problem, xi0):
+    # An empty item would shorten the design instead of failing.
+    rc = run_cli(["eig", "--problem", problem, "--xi0", xi0, "--n-outer", "16",
+                  "--seed", "1", "--out", tmp_path / "out"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "configuration"
+    assert "--xi0" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_ascent_pinned_to_a_box_edge_completes(tmp_path):
     # Every step pushes past the upper bound, so each iterate is clamped to
     # it and their running mean rounds one ulp past it.

@@ -10,15 +10,21 @@ from scipy.special import logsumexp
 from mlmc_boed import (
     ContractViolationError,
     Design,
+    LaplaceProposalFactory,
     LevelWeights,
+    PkProblem,
     PriorProposalFactory,
     ProblemModel,
     TestCaseProblem,
     decay_study,
+    default_config,
     eig_nested,
+    eig_unbiased_mlmc,
     unbiased_gradient,
 )
-from mlmc_boed.gradient import _reduce, _segment_sums
+from mlmc_boed import gradient
+from mlmc_boed.gradient import _chunk_variables, _reduce, _segment_sums
+from mlmc_boed.rng import stream
 from reduce_reference import reference_reduce, reference_segment_sums
 
 
@@ -292,3 +298,121 @@ def test_fixed_m_estimators_reject_an_empty_inner_batch(estimator):
 
     with pytest.raises(ContractViolationError):
         estimator(NoDraws(), Design(np.array([1.5])), 10, 0, PriorProposalFactory(), 0)
+
+
+# ---------------------------------------------------------------------------
+# blocks of whole outer samples
+
+PROBLEMS = {
+    "testcase-prior": (TestCaseProblem, Design(np.array([1.5])), PriorProposalFactory),
+    "pk-laplace": (PkProblem, Design(default_config("pk").xi0), LaplaceProposalFactory),
+}
+# One sample per block, a few samples per block (one level-9 test-case or
+# level-6 PK sample is wider than that), and every chunk as one block.
+BUDGETS = (1, 300, 2**40)
+
+
+def _per_budget(monkeypatch, run):
+    """``run()`` under each block budget in turn."""
+    results = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(gradient, "_BLOCK_ENTRIES", budget)
+        results.append(run())
+    return results
+
+
+def _assert_same_bytes(a, b):
+    for x, y in zip(a, b, strict=True):
+        if x is None or y is None:
+            assert x is None and y is None
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _chunk_cases(model):
+    rng = np.random.default_rng(5)
+    wide = 9 if model.t == 2 else 6
+    mixed = np.concatenate([np.zeros(30, dtype=int), rng.integers(1, 4, 40), [wide]])
+    return {
+        "multi-level": (rng.permutation(mixed), 1, {}),
+        "with-psi": (np.full(40, 3), 1, {"with_psi": True}),
+        "point-mass": (np.zeros(40, dtype=int), 8, {}),
+        "eig": (rng.permutation(mixed), 2, {"scored": False}),
+        "naive": (rng.permutation(mixed), 1, {"antithetic": False}),
+    }
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_block_boundaries_change_no_bit_of_a_chunk(monkeypatch, problem):
+    make_model, design, factory = PROBLEMS[problem]
+    model = make_model()
+    calls = []
+    lik = model.loglik_score
+
+    def counted(*args):
+        calls[-1] += 1
+        return lik(*args)
+
+    monkeypatch.setattr(model, "loglik_score", counted)
+    for name, (levels, m0, kw) in _chunk_cases(model).items():
+        def run():
+            calls.append(0)
+            return _chunk_variables(model, design, factory(), stream(3, 0, 1), levels, m0, **kw)
+
+        one, few, whole = _per_budget(monkeypatch, run)
+        assert calls[-3] == levels.size and calls[-1] == 1, name
+        assert 1 < calls[-2] < levels.size, name
+        _assert_same_bytes(one, whole)
+        _assert_same_bytes(few, whole)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_block_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
+    make_model, design, factory = PROBLEMS[problem]
+    model = make_model()
+    levels, n_outer = (6, 40) if model.t == 2 else (5, 12)
+
+    def run():
+        report = decay_study(model, design, levels, n_outer, LevelWeights(tau=1.5), factory(), 2)
+        grad = unbiased_gradient(model, design, 10 * n_outer, LevelWeights(tau=1.5), factory(), 3)
+        eig = eig_unbiased_mlmc(model, design, 10 * n_outer, LevelWeights(tau=1.5), factory(), 4)
+        return ([[r.mean_sq_psi, r.mean_sq_delta] for r in report.rows], grad.grad,
+                grad.per_sample_sq_norm_mean, eig.value, eig.std_error)
+
+    one, few, whole = _per_budget(monkeypatch, run)
+    _assert_same_bytes(one, whole)
+    _assert_same_bytes(few, whole)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_likelihood_layouts_agree_bit_for_bit(problem):
+    # Blocks rest on this: a row's values do not depend on the layout it is
+    # passed in, nor on the other rows of the call.
+    make_model, design, _ = PROBLEMS[problem]
+    model = make_model()
+    rng = np.random.default_rng(8)
+    n, m = 9, 6
+    theta = model.sample_prior(rng, n)
+    eps = model.sample_noise(rng, n)
+    theta_in = model.sample_prior(rng, n * m).reshape(n, m, model.s)
+    log_rho, score = model.loglik_score(design, theta, eps, theta_in)
+    ragged = model.loglik_score(design, theta.repeat(m, axis=0), eps.repeat(m, axis=0),
+                                theta_in.reshape(n * m, 1, model.s))
+    _assert_same_bytes(ragged, (log_rho.reshape(n * m, 1), score.reshape(n * m, 1, -1)))
+    rows = slice(2, 7)
+    sliced = model.loglik_score(design, theta[rows], eps[rows], theta_in[rows])
+    _assert_same_bytes(sliced, (log_rho[rows], score[rows]))
+
+
+def test_prior_proposal_correction_is_a_read_only_zero():
+    model = TestCaseProblem()
+    design, rng = Design(np.array([1.5])), np.random.default_rng(0)
+    theta, eps = model.sample_prior(rng, 5), model.sample_noise(rng, 5)
+    y = model.simulate(design, theta, eps)
+    fitted = PriorProposalFactory().fit(model, design, theta, eps, y)
+    theta_in, corr = fitted.sample_inner(np.random.default_rng(1), 7)
+    assert theta_in.shape == (5, 7, 2)
+    assert corr.shape == (5, 7) and not corr.any()
+    assert not corr.flags.writeable
+    assert corr.strides == (0, 0)                     # no memory per inner sample
