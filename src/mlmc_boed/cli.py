@@ -173,7 +173,8 @@ def cmd_decay(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
          for row in report.rows),
     )
     return {
-        "beta_hat": report.beta_hat,
+        # JSON has no NaN: an undefined fit is written as null.
+        "beta_hat": report.beta_hat if np.isfinite(report.beta_hat) else None,
         "fit_range": list(report.fit_range),
         "reliable": report.reliable,
         "levels": cfg.levels,
@@ -277,7 +278,8 @@ def _headline(command: str, summary: dict) -> str | None:
     if command != "decay":
         return None
     lo, hi = summary["fit_range"]
-    return (f"beta_hat = {summary['beta_hat']:.4f} (fit over levels {lo}..{hi}"
+    beta = np.nan if summary["beta_hat"] is None else summary["beta_hat"]
+    return (f"beta_hat = {beta:.4f} (fit over levels {lo}..{hi}"
             f"{'' if summary['reliable'] else ', UNRELIABLE: too few samples'})")
 
 

@@ -10,12 +10,13 @@
 All of these, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk draws its levels first (a point
 mass draws nothing), then all its outer samples sorted by level, then makes
-one proposal fit and one inner draw.  The rest runs over blocks of whole
-outer samples, each holding at most ``_BLOCK_ENTRIES`` likelihood entries
-(or one sample), so that a wide chunk's array passes stay near cache size;
-a chunk within that budget is one block.  Each block makes one likelihood
-call, and one segmented reduction forms every half-batch sum under its own
-max shift (inner averages are self-normalized, immune to underflow).  Every
+one proposal fit and one inner draw.  The rest runs per block: a chunk
+within ``_BLOCK_ENTRIES`` likelihood entries is one block, and a wider one
+is cut within its level groups into blocks of whole outer samples of one
+level, each holding at most that many entries (or one sample), so that its
+array passes stay near cache size.  Each block makes one likelihood call,
+and one segmented reduction forms every half-batch sum under its own max
+shift (inner averages are self-normalized, immune to underflow).  Every
 value depends only on its own sample's rows, so block boundaries change no
 bit.  Each chunk owns a deterministic RNG sub-stream, so results are
 bit-reproducible for a fixed master seed no matter how many workers are
@@ -68,18 +69,17 @@ def _segment_sums(log_w, scores, starts, lengths):
     return top, den, num
 
 
-def _reduce(log_w, scores, counts, m, has_self, split, antithetic):
+def _reduce(log_w, scores, counts, m, head_self, head_split, antithetic):
     """``(delta, psi)`` of every outer sample, in group order, from flat rows.
 
-    Group ``g`` holds ``counts[g]`` samples, each its self row (if
-    ``has_self[g]``) then ``m[g]`` inner rows, in two halves if ``split[g]``.
-    Only the first group can have self rows, and every other group is split.
-    The inner average is the score ratio, or without ``scores`` the log mean
-    likelihood; ``delta`` is ``coarse - fine`` if split, else ``self - fine``.
+    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows in two
+    halves, but the first group's have a self row first if ``head_self`` and
+    one whole batch unless ``head_split``.  The inner average is the score
+    ratio, or without ``scores`` the log mean likelihood; ``delta`` is
+    ``coarse - fine`` if split, else ``self - fine``.
     """
     counts, m = np.asarray(counts), np.asarray(m)
-    n = int(counts.sum())
-    c0, head_self, head_split = int(counts[0]), bool(has_self[0]), bool(split[0])
+    n, c0 = int(counts.sum()), int(counts[0])
     # Segments in row order.  A sample without a self row has two halves of
     # m/2 rows; one of the first group with self rows has the self row, then
     # either m inner rows or two halves.  ``ia`` and ``ib`` index each
@@ -139,60 +139,54 @@ _BLOCK_ENTRIES = 2**17
 
 
 def _blocks(counts, m, entries):
-    """Consecutive blocks of a chunk's samples in level order, each holding
-    at most ``_BLOCK_ENTRIES`` likelihood entries, or one sample.
-
-    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows and
-    ``entries[g]`` entries each.  A block is ``(samples, rows, groups, nb)``:
-    slices of its samples, of their inner rows and of the groups it meets,
-    and its sample count in each of those groups.
+    """Blocks of a chunk's samples in level order, each within one level
+    group and holding at most ``_BLOCK_ENTRIES`` likelihood entries, or one
+    sample.  Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows
+    and ``entries[g]`` entries each.  A block is ``(samples, rows, g)``:
+    slices of its samples and of their inner rows, and its group.
     """
-    ends = counts.cumsum()
-    # Entries and inner rows of the samples before each sample.
-    before = np.append(0, entries.repeat(counts).cumsum())
-    rows = np.append(0, m.repeat(counts).cumsum())
-    blocks, a = [], 0
-    while a < ends[-1]:
-        b = int(np.searchsorted(before, before[a] + _BLOCK_ENTRIES, side="right")) - 1
-        b = max(b, a + 1)
-        g0, g1 = np.searchsorted(ends, [a, b - 1], side="right")   # groups of a, b - 1
-        g = slice(g0, g1 + 1)
-        nb = np.minimum(ends[g], b) - np.maximum(ends[g] - counts[g], a)
-        blocks.append((slice(a, b), slice(rows[a], rows[b]), g, nb))
-        a = b
-    return blocks
+    a = r = 0
+    for g, (c, mg, e) in enumerate(zip(counts.tolist(), m.tolist(), entries.tolist())):
+        step = max(1, _BLOCK_ENTRIES // e)
+        for b in range(a, a + c, step):
+            n = min(step, a + c - b)
+            yield slice(b, b + n), slice(r, r + n * mg), g
+            r += n * mg
+        a += c
 
 
-def _block_variables(model, design, theta, eps, inner, corr, counts, m, has_self,
-                     split, scored, antithetic):
+def _block_variables(model, design, theta, eps, inner, corr, counts, m, head_self,
+                     head_split, scored, antithetic):
     """``(delta, psi)`` of one block of whole samples, in level order.
 
     ``inner (rows, s)`` and ``corr (rows,)`` hold the block's inner samples
-    and their importance corrections, sample by sample.
+    and their importance corrections, sample by sample; ``head_self`` and
+    ``head_split`` are as in :func:`_reduce`.
     """
     s = model.s
     n0, k0 = int(counts[0]), int(counts[0] * m[0])     # first group: samples, inner rows
     # Only the first level group can have self rows (level 0, or the single
     # level of a ``with_psi`` chunk): they go before each sample's inner rows.
-    if has_self[0]:
+    if head_self:
         head = np.concatenate([theta[:n0, None, :], inner[:k0].reshape(n0, -1, s)], axis=1)
         inner = head if counts.size == 1 else np.concatenate([head.reshape(-1, s), inner[k0:]])
     if counts.size == 1:
         log_rho, scores = model.loglik_score(design, theta, eps, inner.reshape(n0, -1, s))
     else:
-        rep = (m + has_self).repeat(counts)
+        rep = m.repeat(counts)
+        rep[:n0] += head_self
         log_rho, scores = model.loglik_score(
             design, theta.repeat(rep, axis=0), eps.repeat(rep, axis=0),
             inner.reshape(-1, 1, s))
     # The importance correction, added in place to the inner rows only.
     log_w = log_rho.reshape(-1)
-    if has_self[0]:
+    if head_self:
         log_w[: n0 + k0].reshape(n0, -1)[:, 1:] += corr[:k0].reshape(n0, -1)
         log_w[n0 + k0 :] += corr[k0:]
     else:
         log_w += corr
     scores = scores.reshape(log_w.size, -1) if scored else None
-    return _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+    return _reduce(log_w, scores, counts, m, head_self, head_split, antithetic)
 
 
 def _chunk_variables(
@@ -208,9 +202,11 @@ def _chunk_variables(
     proposal fit takes a level-``l`` sample as ``2**(l - l_min)`` equal rows,
     and the one inner draw gives each row ``m0 * 2**l_min`` samples, so a
     sample's rows hold its inner samples, first half first.  The rest runs
-    per block of whole samples (:func:`_blocks`): one ``loglik_score`` call,
-    in the ``(n, M)`` shape when the block's samples share one ``M``, else
-    in the ``(N, 1)`` shape with outer rows repeated, and one reduction.
+    per block: the whole chunk if it is within ``_BLOCK_ENTRIES``, else
+    blocks of whole samples of one level group (:func:`_blocks`).  A block
+    makes one ``loglik_score`` call, in the ``(n, M)`` shape when its
+    samples share one ``M`` (every block of a cut chunk does), else in the
+    ``(N, 1)`` shape with outer rows repeated, and one reduction.
     Without ``scored`` the scores are dropped and the variables are log mean
     likelihoods.
     """
@@ -220,8 +216,8 @@ def _chunk_variables(
     if with_psi and lv.size > 1:
         raise ContractViolationError("the fine-level psi needs a single level per chunk")
     m = m0 * 2**lv
-    split = lv > 0
-    has_self = ~split | with_psi
+    # Only the first group can have self rows or be unsplit (level 0).
+    head_self, head_split = bool(lv[0] == 0 or with_psi), bool(lv[0] > 0)
     theta, eps, y = _draw_outer(model, design, levels.size, rng)
     reps = (2 ** (lv - lv[0])).repeat(counts)
     fitted = proposal_factory.fit(
@@ -230,15 +226,16 @@ def _chunk_variables(
     theta_in, corr = theta_in.reshape(-1, model.s), corr.reshape(-1)
 
     # Likelihood rows: every inner sample, and the first group's self rows.
-    n_rows = len(theta_in) + int(counts[0]) * bool(has_self[0])
+    n_rows = len(theta_in) + int(counts[0]) * head_self
     if n_rows * model.t <= _BLOCK_ENTRIES:          # the chunk is one block
         delta, psi = _block_variables(model, design, theta, eps, theta_in, corr, counts, m,
-                                      has_self, split, scored, antithetic)
+                                      head_self, head_split, scored, antithetic)
     else:
         parts = [
-            _block_variables(model, design, theta[i], eps[i], theta_in[r], corr[r], nb,
-                             m[g], has_self[g], split[g], scored, antithetic)
-            for i, r, g, nb in _blocks(counts, m, (m + has_self) * model.t)
+            _block_variables(model, design, theta[i], eps[i], theta_in[r], corr[r],
+                             np.array([i.stop - i.start]), m[g : g + 1], head_self and g == 0,
+                             head_split or g > 0, scored, antithetic)
+            for i, r, g in _blocks(counts, m, (m + (lv == lv[0]) * head_self) * model.t)
         ]
         delta, psi = (np.concatenate(p) for p in zip(*parts))
     if lv.size > 1:

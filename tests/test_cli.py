@@ -37,6 +37,21 @@ def test_decay_unreliable_with_one_sample(tmp_path):
     assert not summary["reliable"]
 
 
+def test_undefined_beta_hat_is_json_null(tmp_path, capsys):
+    # Two levels leave one level in the fit range 1..1, so no slope exists.
+    rc = run_cli(["decay", "--problem", "testcase", "--levels", "2",
+                  "--samples-per-level", "8", "--seed", "1", "--out", tmp_path])
+    assert rc == 0
+
+    def strict(name):
+        raise ValueError(f"not JSON: {name}")
+
+    headline, printed = capsys.readouterr().out.splitlines()
+    assert headline.startswith("beta_hat = nan ")
+    for text in (printed, (tmp_path / "decay.json").read_text(encoding="utf-8")):
+        assert json.loads(text, parse_constant=strict)["beta_hat"] is None
+
+
 def test_optimize_trace_row_count_and_summary(tmp_path):
     rc = run_cli(["optimize", "--problem", "testcase", "--iters", "30",
                   "--n-outer", "64", "--eig-every", "10", "--seed", "2",

@@ -62,7 +62,7 @@ def _correction(log_w, scores, antithetic=True):
     """``delta`` of ``n`` level > 0 samples from ``(n, M)`` inner weights."""
     n, m = log_w.shape
     delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), [n], [m],
-                       [False], [True], antithetic)
+                       False, True, antithetic)
     return delta
 
 
@@ -114,7 +114,7 @@ def test_level_zero_variable_is_self_minus_ratio():
     # One sample: its self row (weight 1, score 5), then inner scores 1 and 3.
     log_w = np.zeros(3)
     scores = np.array([[5.0], [1.0], [3.0]])
-    delta, psi = _reduce(log_w, scores, [1], [2], [True], [False], True)
+    delta, psi = _reduce(log_w, scores, [1], [2], True, False, True)
     assert delta[0, 0] == pytest.approx(5.0 - 2.0)
     assert psi[0, 0] == delta[0, 0]
 
@@ -129,7 +129,7 @@ def test_correction_telescopes_the_fine_variable():
     self_score = rng.normal(size=(n, 2))
     flat_w = np.concatenate([np.zeros((n, 1)), log_w], axis=1).ravel()
     flat_s = np.concatenate([self_score[:, None, :], scores], axis=1).reshape(-1, 2)
-    delta, psi_fine = _reduce(flat_w, flat_s, [n], [m], [True], [True], True)
+    delta, psi_fine = _reduce(flat_w, flat_s, [n], [m], True, True, True)
     psi_a = self_score - _ratio(log_w[:, : m // 2], scores[:, : m // 2])
     psi_b = self_score - _ratio(log_w[:, m // 2 :], scores[:, m // 2 :])
     assert np.allclose(psi_fine, self_score - _ratio(log_w, scores), rtol=1e-12)
@@ -181,7 +181,7 @@ def test_reduce_matches_the_reference_bit_for_bit(structure, d, antithetic, seed
     n_rows = int((counts * (m + has_self)).sum())
     log_w = rng.normal(scale=30.0, size=n_rows)
     scores = None if d is None else rng.normal(size=(n_rows, d))
-    got = _reduce(log_w, scores, counts, m, has_self, split, antithetic)
+    got = _reduce(log_w, scores, counts, m, has_self[0], split[0], antithetic)
     want = reference_reduce(log_w, scores, counts, m, has_self, split, antithetic)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -373,16 +373,48 @@ def test_block_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
     model = make_model()
     levels, n_outer = (6, 40) if model.t == 2 else (5, 12)
 
+    wide = LevelWeights(m0=64, tau=1.5)             # multi-level chunks past the budget
+
     def run():
         report = decay_study(model, design, levels, n_outer, LevelWeights(tau=1.5), factory(), 2)
         grad = unbiased_gradient(model, design, 10 * n_outer, LevelWeights(tau=1.5), factory(), 3)
         eig = eig_unbiased_mlmc(model, design, 10 * n_outer, LevelWeights(tau=1.5), factory(), 4)
+        wide_grad = unbiased_gradient(model, design, 2 * n_outer, wide, factory(), 5)
+        wide_eig = eig_unbiased_mlmc(model, design, 2 * n_outer, wide, factory(), 6)
         return ([[r.mean_sq_psi, r.mean_sq_delta] for r in report.rows], grad.grad,
-                grad.per_sample_sq_norm_mean, eig.value, eig.std_error)
+                grad.per_sample_sq_norm_mean, eig.value, eig.std_error, wide_grad.grad,
+                wide_grad.per_sample_sq_norm_mean, wide_eig.value, wide_eig.std_error)
 
     one, few, whole = _per_budget(monkeypatch, run)
     _assert_same_bytes(one, whole)
     _assert_same_bytes(few, whole)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
+    make_model, design, factory = PROBLEMS[problem]
+    model = make_model()
+    levels, m0, _ = _chunk_cases(model)["multi-level"]
+    widths = {m0 * 2**lv + (lv == 0) for lv in levels.tolist()}     # level 0 has self rows
+    lik = model.loglik_score
+    shapes = []
+
+    def recorded(design, theta, eps, theta_inner):
+        shapes.append(theta_inner.shape)
+        return lik(design, theta, eps, theta_inner)
+
+    def run(budget):
+        monkeypatch.setattr(gradient, "_BLOCK_ENTRIES", budget)
+        return _chunk_variables(model, design, factory(), stream(3, 0, 1), levels, m0)
+
+    whole = run(2**40)
+    monkeypatch.setattr(model, "loglik_score", recorded)
+    cut = run(300)
+    assert len(shapes) > 1
+    for shape in shapes:                              # dense (n, M, s), one level each
+        assert len(shape) == 3 and shape[1] != 1 and shape[1] in widths, shapes
+    assert sum(shape[0] for shape in shapes) == levels.size
+    _assert_same_bytes(cut, whole)
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
