@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ESTIMATORS, OPTIMIZERS, PROBLEMS, PROPOSALS, RunConfig, default_config
-from .decay import decay_study
+from .decay import check_study, decay_study
 from .eig import eig_unbiased_mlmc
 from .errors import (
     ConfigurationError,
@@ -43,6 +43,7 @@ from .rng import PHASE_OPTIMIZE, chunk_sizes
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130       # 128 + SIGINT, as a shell reports it
 
 # The estimators each subcommand runs; decay has no fixed-M form and eig no
 # naive coupling, so either setting would be silently replaced.
@@ -298,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         if unread:
             raise ConfigurationError(f"the estimator {cfg.estimator!r} does not read "
                                      f"{', '.join(unread)}")
+        if args.command == "decay":
+            check_study(cfg.levels, cfg.samples_per_level, cfg.m0)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigurationError, ValueError, OSError) as exc:
@@ -322,6 +325,11 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.suppress(OSError, ValueError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except KeyboardInterrupt:
+        # Ctrl-C: no summary is written, and no traceback reaches the terminal.
+        print(json.dumps({"error": "interrupted", "message": "stopped before the end"}),
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:
         category = "internal"
         for klass, name in _CATEGORY.items():

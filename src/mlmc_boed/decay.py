@@ -18,6 +18,11 @@ from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import PHASE_DECAY
 
+# Inner samples one chunk of a decay level may hold: a level is cut into
+# chunks of at most this many, and a level whose one outer sample needs more
+# is refused before any draw.
+CHUNK_INNER = 2**22
+
 
 @dataclass(frozen=True)
 class DecayRow:
@@ -51,6 +56,21 @@ def fit_beta(rows: list[DecayRow], fit_range: tuple[int, int]) -> float:
     return float(-slope)
 
 
+def check_study(levels: int, samples_per_level: int, m0: int):
+    """Raise ``ContractViolationError`` unless a decay study of ``levels``
+    levels, ``samples_per_level`` outer samples each and base inner sample
+    size ``m0`` can run."""
+    if levels < 2:
+        raise ContractViolationError("decay study needs at least 2 levels")
+    if samples_per_level < 1:
+        raise ContractViolationError("decay study needs at least 1 sample per level")
+    deepest = int(m0) * 2 ** (levels - 1)
+    if deepest > CHUNK_INNER:
+        raise ContractViolationError(
+            f"decay level {levels - 1} needs {deepest} inner samples per outer sample, "
+            f"more than the {CHUNK_INNER} of one chunk; lower levels or m0")
+
+
 def decay_study(
     model: ProblemModel,
     design: Design,
@@ -68,21 +88,18 @@ def decay_study(
     The rows do not depend on ``threads``; it sets how many chunks of one
     level run at once.
     """
-    if levels < 2:
-        raise ContractViolationError("decay study needs at least 2 levels")
-    if samples_per_level < 1:
-        raise ContractViolationError("decay study needs at least 1 sample per level")
+    check_study(levels, samples_per_level, weights.m0)
 
     def row(lvl):
         def chunk(rng, n):
             delta, psi, _ = _chunk_variables(
                 model, design, proposal_factory, rng, np.full(n, lvl), weights.m0,
-                antithetic=antithetic, with_psi=True,
+                antithetic=antithetic,
             )
             return float((delta**2).sum()), float((psi**2).sum()), n
 
         # Chunk the outer samples so high levels stay within memory.
-        cap = max(1, 2**22 // int(weights.inner_samples(lvl)))
+        cap = CHUNK_INNER // int(weights.inner_samples(lvl))
         sq_delta, sq_psi, done = _run_chunks(
             samples_per_level, seed, PHASE_DECAY, lvl * 100_000, threads, chunk, chunk=cap
         )

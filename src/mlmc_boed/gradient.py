@@ -10,10 +10,17 @@
 All of these, the EIG estimators and the decay study run on one core over
 fixed-size chunks of outer samples.  A chunk draws its levels first (a point
 mass draws nothing), then all its outer samples sorted by level, then makes
-one proposal fit and one inner draw.  The rest runs per block: a chunk
-within ``_BLOCK_ENTRIES`` likelihood entries is one block, and a wider one
-is cut within its level groups into blocks of whole outer samples of one
-level, each holding at most that many entries (or one sample), so that its
+one proposal fit and one inner draw.  The fit takes a level-``l`` sample as
+``2**(l - l_min)`` equal rows, ``l_min`` being the chunk's lowest level,
+and the draw gives each fit row ``m0 * 2**l_min`` inner samples, so that a
+sample's rows hold its ``m0 * 2**l`` inner samples, first half first.
+
+One likelihood call then evaluates every sample's self term, at its own
+latent value, in the ``(n, 1)`` shape.  The inner samples are evaluated per
+block: a chunk within ``_BLOCK_ENTRIES`` likelihood entries is one block, on
+the fit rows as drawn, and a wider one is cut within its level groups into
+blocks of whole outer samples of one level, each holding at most that many
+entries (or one sample) in the dense ``(n_b, m0 * 2**l)`` shape, so that its
 array passes stay near cache size.  Each block makes one likelihood call,
 and one segmented reduction forms every half-batch sum under its own max
 shift (inner averages are self-normalized, immune to underflow).  Every
@@ -22,14 +29,14 @@ bit.  Each chunk owns a deterministic RNG sub-stream, so results are
 bit-reproducible for a fixed master seed no matter how many workers are
 used.
 
-The reduction builds its segment indices from the level groups alone.  A
-sample has one segment per half of its inner rows, or one for the whole
-batch if it is not split (level 0), after a one-row segment for its self row
-if it has one (only the lowest level group can).  So the segment lengths
-are one repeat of the per-group half sizes with the first group's pattern
-written over them, the starts are their running sum, and each sample's
-first-half segment is an ``arange``.  The closing scatter back to the drawn
-order sorts the levels as one-byte keys.
+The reduction reads inner rows only, and builds its segment indices from the
+level groups alone.  A sample has one segment per half of its inner rows, or
+one for its whole batch if it is not split (level 0, which only the lowest
+level group can be).  So the segment lengths are one repeat of the
+per-group half sizes, with the first group's merged if it is unsplit, the
+starts are their running sum, and each sample's first-half segment is an
+``arange``.  The closing scatter back to the drawn order sorts the levels as
+one-byte keys.
 """
 
 from __future__ import annotations
@@ -69,41 +76,33 @@ def _segment_sums(log_w, scores, starts, lengths):
     return top, den, num
 
 
-def _reduce(log_w, scores, counts, m, head_self, head_split, antithetic):
-    """``(delta, psi)`` of every outer sample, in group order, from flat rows.
+def _reduce(log_w, scores, self_term, counts, m, head_split, antithetic):
+    """``(delta, psi)`` of every outer sample, in group order, from flat rows
+    of inner samples and each sample's self term.
 
     Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows in two
-    halves, but the first group's have a self row first if ``head_self`` and
-    one whole batch unless ``head_split``.  The inner average is the score
-    ratio, or without ``scores`` the log mean likelihood; ``delta`` is
-    ``coarse - fine`` if split, else ``self - fine``.
+    halves, but the first group's are one whole batch unless ``head_split``.
+    The inner average is the score ratio, or without ``scores`` the log mean
+    likelihood, and ``self_term`` the self score or self log-likelihood to
+    match; ``delta`` is ``coarse - fine`` if split, else ``self - fine``.
     """
     counts, m = np.asarray(counts), np.asarray(m)
     n, c0 = int(counts.sum()), int(counts[0])
-    # Segments in row order.  A sample without a self row has two halves of
-    # m/2 rows; one of the first group with self rows has the self row, then
-    # either m inner rows or two halves.  ``ia`` and ``ib`` index each
-    # sample's first and second half (both its inner batch if unsplit).
+    # Segments in row order: each sample's two halves of m/2 rows, or its
+    # whole batch if unsplit.  ``ia`` and ``ib`` index each sample's first
+    # and second half (both its whole batch if unsplit).
+    lengths = (m // 2).repeat(2 * counts)
+    ia = np.arange(0, 2 * n, 2)
     split = np.ones(n, dtype=bool)
-    if head_self and head_split:             # a single group
-        lengths = np.full((n, 3), m[0] // 2)
-        lengths[:, 0] = 1
-        lengths = lengths.ravel()
-        ia = np.arange(1, 3 * n, 3)
-    else:
-        lengths = (m // 2).repeat(2 * counts)
-        ia = np.arange(0, 2 * n, 2)
-        if head_self:
-            lengths[: 2 * c0 : 2] = 1
-            lengths[1 : 2 * c0 : 2] = m[0]
-            ia[:c0] += 1
-            split[:c0] = False
+    if not head_split:
+        lengths = lengths[c0:]
+        lengths[:c0] = m[0]
+        ia[:c0] //= 2
+        ia[c0:] -= c0
+        split[:c0] = False
     starts = lengths.cumsum()
     starts -= lengths
     ib = ia + split
-    row0 = starts[ia]
-    if head_self:
-        row0[:c0] -= 1
 
     top, den, num = _segment_sums(log_w, scores, starts, lengths)
     top_a, top_b, den_a, den_b = top[ia], top[ib], den[ia], den[ib]
@@ -112,11 +111,9 @@ def _reduce(log_w, scores, counts, m, head_self, head_split, antithetic):
     cb = np.where(split, np.exp(top_b - shift), 0.0)
     den_f = ca * den_a + cb * den_b
     if scores is None:
-        self_term = log_w[row0]
         half = top + np.log(den) - np.log(lengths)
         fine = shift + np.log(den_f) - np.log(m.repeat(counts))
     else:
-        self_term = scores[row0]
         half = num / den[:, None]
         fine = (ca[:, None] * num[ia] + cb[:, None] * num[ib]) / den_f[:, None]
         split = split[:, None]
@@ -155,96 +152,55 @@ def _blocks(counts, m, entries):
         a += c
 
 
-def _block_variables(model, design, theta, eps, inner, corr, counts, m, head_self,
-                     head_split, scored, antithetic):
-    """``(delta, psi)`` of one block of whole samples, in level order.
-
-    ``inner (rows, s)`` and ``corr (rows,)`` hold the block's inner samples
-    and their importance corrections, sample by sample; ``head_self`` and
-    ``head_split`` are as in :func:`_reduce`.
-    """
-    s = model.s
-    n0, k0 = int(counts[0]), int(counts[0] * m[0])     # first group: samples, inner rows
-    # Only the first level group can have self rows (level 0, or the single
-    # level of a ``with_psi`` chunk): they go before each sample's inner rows.
-    if head_self:
-        head = np.concatenate([theta[:n0, None, :], inner[:k0].reshape(n0, -1, s)], axis=1)
-        inner = head if counts.size == 1 else np.concatenate([head.reshape(-1, s), inner[k0:]])
-    if counts.size == 1:
-        log_rho, scores = model.loglik_score(design, theta, eps, inner.reshape(n0, -1, s))
-    else:
-        rep = m.repeat(counts)
-        rep[:n0] += head_self
-        log_rho, scores = model.loglik_score(
-            design, theta.repeat(rep, axis=0), eps.repeat(rep, axis=0),
-            inner.reshape(-1, 1, s))
-    # The importance correction, added in place to the inner rows only.
-    log_w = log_rho.reshape(-1)
-    if head_self:
-        log_w[: n0 + k0].reshape(n0, -1)[:, 1:] += corr[:k0].reshape(n0, -1)
-        log_w[n0 + k0 :] += corr[k0:]
-    else:
-        log_w += corr
-    scores = scores.reshape(log_w.size, -1) if scored else None
-    return _reduce(log_w, scores, counts, m, head_self, head_split, antithetic)
-
-
 def _chunk_variables(
-    model, design, proposal_factory, rng, levels, m0, *,
-    scored=True, antithetic=True, with_psi=False,
+    model, design, proposal_factory, rng, levels, m0, *, scored=True, antithetic=True,
 ):
     """``(delta, psi, n_fallback)`` of one chunk, in the order of ``levels``.
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
-    correction variable (psi itself at level 0), ``psi`` the fine-level psi
-    variable (``None`` unless ``with_psi``, which needs a single level).
-    The outer samples are drawn in one call, sorted by level.  The one
-    proposal fit takes a level-``l`` sample as ``2**(l - l_min)`` equal rows,
-    and the one inner draw gives each row ``m0 * 2**l_min`` samples, so a
-    sample's rows hold its inner samples, first half first.  The rest runs
-    per block: the whole chunk if it is within ``_BLOCK_ENTRIES``, else
-    blocks of whole samples of one level group (:func:`_blocks`).  A block
-    makes one ``loglik_score`` call, in the ``(n, M)`` shape when its
-    samples share one ``M`` (every block of a cut chunk does), else in the
-    ``(N, 1)`` shape with outer rows repeated, and one reduction.
+    correction variable (psi itself at level 0), and ``psi`` its fine-level
+    psi variable if the chunk has a single level (else ``None``).  The self
+    call, the fit rows and the blocks are as in the module docstring.
     Without ``scored`` the scores are dropped and the variables are log mean
     likelihoods.
     """
     bins = np.bincount(levels)
     lv = np.flatnonzero(bins)
     counts = bins[lv]
-    if with_psi and lv.size > 1:
-        raise ContractViolationError("the fine-level psi needs a single level per chunk")
     m = m0 * 2**lv
-    # Only the first group can have self rows or be unsplit (level 0).
-    head_self, head_split = bool(lv[0] == 0 or with_psi), bool(lv[0] > 0)
     theta, eps, y = _draw_outer(model, design, levels.size, rng)
     reps = (2 ** (lv - lv[0])).repeat(counts)
-    fitted = proposal_factory.fit(
-        model, design, *(a.repeat(reps, axis=0) for a in (theta, eps, y)))
-    theta_in, corr = fitted.sample_inner(rng, int(m[0]))
-    theta_in, corr = theta_in.reshape(-1, model.s), corr.reshape(-1)
+    rows = [a.repeat(reps, axis=0) for a in (theta, eps, y)]
+    fitted = proposal_factory.fit(model, design, *rows)
+    inner, corr = fitted.sample_inner(rng, int(m[0]))
+    self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
+    self_term = self_s.reshape(levels.size, -1) if scored else self_w.reshape(-1)
 
-    # Likelihood rows: every inner sample, and the first group's self rows.
-    n_rows = len(theta_in) + int(counts[0]) * head_self
-    if n_rows * model.t <= _BLOCK_ENTRIES:          # the chunk is one block
-        delta, psi = _block_variables(model, design, theta, eps, theta_in, corr, counts, m,
-                                      head_self, head_split, scored, antithetic)
+    def block(theta, eps, inner, corr, self_term, counts, m, head_split):
+        log_rho, scores = model.loglik_score(design, theta, eps, inner)
+        log_w = log_rho.reshape(-1)
+        log_w += corr.reshape(-1)             # the importance correction, in place
+        scores = scores.reshape(log_w.size, -1) if scored else None
+        return _reduce(log_w, scores, self_term, counts, m, head_split, antithetic)
+
+    head_split = bool(lv[0] > 0)                  # only level 0 is unsplit
+    if inner.size // model.s * model.t <= _BLOCK_ENTRIES:      # one block
+        delta, psi = block(rows[0], rows[1], inner, corr, self_term, counts, m, head_split)
     else:
+        inner, corr = inner.reshape(-1, model.s), corr.reshape(-1)
         parts = [
-            _block_variables(model, design, theta[i], eps[i], theta_in[r], corr[r],
-                             np.array([i.stop - i.start]), m[g : g + 1], head_self and g == 0,
-                             head_split or g > 0, scored, antithetic)
-            for i, r, g in _blocks(counts, m, (m + (lv == lv[0]) * head_self) * model.t)
+            block(theta[i], eps[i], inner[r].reshape(i.stop - i.start, -1, model.s), corr[r],
+                  self_term[i], [i.stop - i.start], m[g : g + 1], head_split or g > 0)
+            for i, r, g in _blocks(counts, m, m * model.t)
         ]
         delta, psi = (np.concatenate(p) for p in zip(*parts))
-    if lv.size > 1:
-        # Back from level order to the order of ``levels`` (a stable sort of
-        # one-byte keys, levels being at most ``MAX_LEVEL``).
-        out = np.empty_like(delta)
-        out[np.argsort(levels.astype(np.uint8), kind="stable")] = delta
-        delta = out
-    return delta, (psi if with_psi else None), fitted.n_fallback
+    if lv.size == 1:
+        return delta, psi, fitted.n_fallback
+    # Back from level order to the order of ``levels`` (a stable sort of
+    # one-byte keys, levels being at most ``MAX_LEVEL``).
+    out = np.empty_like(delta)
+    out[np.argsort(levels.astype(np.uint8), kind="stable")] = delta
+    return out, None, fitted.n_fallback
 
 
 def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK_SIZE):

@@ -155,9 +155,11 @@ class ProblemModel:
 
         Shapes: ``theta (n, s)``, ``eps (n, s_noise)``, ``theta_inner
         (n, M, s)``; returns ``(log_rho (n, M), score (n, M, d))``, new
-        arrays that the estimators update in place.
-        The self-evaluation at ``theta_inner = theta`` uses this same code
-        path (pass ``theta[:, None, :]``).
+        arrays that the estimators update in place.  Outer rows may repeat:
+        the estimators pass a sample's ``(theta, eps)`` once per row of its
+        proposal fit, as consecutive equal rows.  The self evaluation at
+        ``theta_inner = theta`` uses this same code path, in one call per
+        chunk (``theta[:, None, :]``).
         """
         raise NotImplementedError
 

@@ -422,3 +422,45 @@ def test_flag_the_estimator_never_reads_is_a_configuration_error(
     message = _single_configuration_error(capsys)
     assert flag in message and repr(estimator) in message
     assert not out.exists()
+
+
+def test_interrupt_is_one_json_line_and_exit_130(tmp_path, capsys, monkeypatch):
+    from mlmc_boed import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "unbiased_gradient", interrupted)
+    try:
+        rc = cli.main(["optimize", "--iters", "5", "--n-outer", "32", "--out", str(tmp_path)])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert rc == 130
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "interrupted"
+    assert not (tmp_path / "optimize.json").exists()
+
+
+@pytest.mark.parametrize("levels,reached", [("24", False), ("23", True)])
+def test_decay_levels_past_the_chunk_cap_are_a_configuration_error(
+        tmp_path, capsys, monkeypatch, levels, reached):
+    # Level 23 of m0 = 1 holds exactly 2**22 inner samples, a decay chunk's cap.
+    from mlmc_boed import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached_the_study(*args, **kwargs):
+        raise Reached("decay_study was called")
+
+    monkeypatch.setattr(cli, "decay_study", reached_the_study)
+    out = tmp_path / "out"
+    rc = cli.main(["decay", "--levels", levels, "--samples-per-level", "1", "--m0", "1",
+                   "--out", str(out)])
+    if reached:
+        assert rc == 1 and "decay_study was called" in capsys.readouterr().err
+    else:
+        assert rc == 2
+        assert "inner samples" in _single_configuration_error(capsys)
+        assert not out.exists()

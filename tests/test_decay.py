@@ -120,3 +120,17 @@ def test_threads_reach_the_chunk_runner(monkeypatch):
     two = decay_study(model, design, 4, 300, w, PriorProposalFactory(), 15, threads=2)
     assert seen == [2] * 4
     assert one == two
+
+
+def test_levels_past_the_chunk_cap_rejected_before_any_draw():
+    # m0 * 2**(levels - 1) = 2**23 inner samples for one level-23 sample,
+    # more than a decay chunk holds.
+    class NoDraws(TestCaseProblem):
+        def sample_prior(self, rng, n):
+            raise AssertionError("drew before the check")
+
+    with pytest.raises(ContractViolationError):
+        decay_study(
+            NoDraws(), Design(np.array([1.5])), 24, 1,
+            LevelWeights(m0=1, tau=1.5), PriorProposalFactory(), 14,
+        )

@@ -61,8 +61,9 @@ def _ratio(log_w, scores):
 def _correction(log_w, scores, antithetic=True):
     """``delta`` of ``n`` level > 0 samples from ``(n, M)`` inner weights."""
     n, m = log_w.shape
-    delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), [n], [m],
-                       False, True, antithetic)
+    self_term = np.zeros((n, scores.shape[-1]))              # cancels at l > 0
+    delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), self_term, [n], [m],
+                       True, antithetic)
     return delta
 
 
@@ -111,10 +112,10 @@ def test_naive_delta_uses_single_half():
 
 
 def test_level_zero_variable_is_self_minus_ratio():
-    # One sample: its self row (weight 1, score 5), then inner scores 1 and 3.
-    log_w = np.zeros(3)
-    scores = np.array([[5.0], [1.0], [3.0]])
-    delta, psi = _reduce(log_w, scores, [1], [2], True, False, True)
+    # One sample: its self score 5, and inner scores 1 and 3 of weight 1.
+    log_w = np.zeros(2)
+    scores = np.array([[1.0], [3.0]])
+    delta, psi = _reduce(log_w, scores, np.array([[5.0]]), [1], [2], False, True)
     assert delta[0, 0] == pytest.approx(5.0 - 2.0)
     assert psi[0, 0] == delta[0, 0]
 
@@ -127,9 +128,8 @@ def test_correction_telescopes_the_fine_variable():
     log_w = rng.normal(size=(n, m))
     scores = rng.normal(size=(n, m, 2))
     self_score = rng.normal(size=(n, 2))
-    flat_w = np.concatenate([np.zeros((n, 1)), log_w], axis=1).ravel()
-    flat_s = np.concatenate([self_score[:, None, :], scores], axis=1).reshape(-1, 2)
-    delta, psi_fine = _reduce(flat_w, flat_s, [n], [m], True, True, True)
+    delta, psi_fine = _reduce(log_w.ravel(), scores.reshape(-1, 2), self_score, [n], [m],
+                              True, True)
     psi_a = self_score - _ratio(log_w[:, : m // 2], scores[:, : m // 2])
     psi_b = self_score - _ratio(log_w[:, m // 2 :], scores[:, m // 2 :])
     assert np.allclose(psi_fine, self_score - _ratio(log_w, scores), rtol=1e-12)
@@ -159,15 +159,10 @@ def test_segment_sums_match_a_per_segment_loop(lengths, seed):
 @st.composite
 def group_structures(draw):
     """``(counts, m, has_self, split)`` of a chunk as ``_chunk_variables``
-    forms it: distinct increasing levels, self rows only at level 0, or a
-    single level with self rows (the ``with_psi`` layout)."""
+    forms it: distinct increasing levels, and a self term for every sample."""
     m0 = draw(st.sampled_from([1, 2]))
-    if draw(st.booleans()):                                   # with_psi
-        lv = np.array([draw(st.integers(0, 5))])
-        has_self = np.ones(1, dtype=bool)
-    else:
-        lv = np.array(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5))))
-        has_self = lv == 0
+    lv = np.array(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5))))
+    has_self = np.ones(lv.size, dtype=bool)
     counts = np.array(draw(st.lists(st.integers(1, 6), min_size=lv.size, max_size=lv.size)))
     return counts, m0 * 2**lv, has_self, lv > 0
 
@@ -181,7 +176,14 @@ def test_reduce_matches_the_reference_bit_for_bit(structure, d, antithetic, seed
     n_rows = int((counts * (m + has_self)).sum())
     log_w = rng.normal(scale=30.0, size=n_rows)
     scores = None if d is None else rng.normal(size=(n_rows, d))
-    got = _reduce(log_w, scores, counts, m, has_self[0], split[0], antithetic)
+    # The reference reads each sample's self row before its inner rows; the
+    # package takes the self terms apart from the inner rows.
+    row0 = np.cumsum(np.repeat(m + 1, counts)) - np.repeat(m + 1, counts)
+    inner = np.ones(n_rows, dtype=bool)
+    inner[row0] = False
+    self_term = log_w[row0] if scores is None else scores[row0]
+    got = _reduce(log_w[inner], None if scores is None else scores[inner], self_term,
+                  counts, m, split[0], antithetic)
     want = reference_reduce(log_w, scores, counts, m, has_self, split, antithetic)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -336,7 +338,7 @@ def _chunk_cases(model):
     mixed = np.concatenate([np.zeros(30, dtype=int), rng.integers(1, 4, 40), [wide]])
     return {
         "multi-level": (rng.permutation(mixed), 1, {}),
-        "with-psi": (np.full(40, 3), 1, {"with_psi": True}),
+        "single-level": (np.full(40, 3), 1, {}),
         "point-mass": (np.zeros(40, dtype=int), 8, {}),
         "eig": (rng.permutation(mixed), 2, {"scored": False}),
         "naive": (rng.permutation(mixed), 1, {"antithetic": False}),
@@ -361,8 +363,9 @@ def test_block_boundaries_change_no_bit_of_a_chunk(monkeypatch, problem):
             return _chunk_variables(model, design, factory(), stream(3, 0, 1), levels, m0, **kw)
 
         one, few, whole = _per_budget(monkeypatch, run)
-        assert calls[-3] == levels.size and calls[-1] == 1, name
-        assert 1 < calls[-2] < levels.size, name
+        # The self call, then one call per block, or one for the whole chunk.
+        assert calls[-3] == levels.size + 1 and calls[-1] == 2, name
+        assert 2 < calls[-2] < levels.size + 1, name
         _assert_same_bytes(one, whole)
         _assert_same_bytes(few, whole)
 
@@ -395,7 +398,7 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
     make_model, design, factory = PROBLEMS[problem]
     model = make_model()
     levels, m0, _ = _chunk_cases(model)["multi-level"]
-    widths = {m0 * 2**lv + (lv == 0) for lv in levels.tolist()}     # level 0 has self rows
+    widths = {m0 * 2**lv for lv in levels.tolist()}
     lik = model.loglik_score
     shapes = []
 
@@ -410,10 +413,14 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
     whole = run(2**40)
     monkeypatch.setattr(model, "loglik_score", recorded)
     cut = run(300)
-    assert len(shapes) > 1
-    for shape in shapes:                              # dense (n, M, s), one level each
-        assert len(shape) == 3 and shape[1] != 1 and shape[1] in widths, shapes
-    assert sum(shape[0] for shape in shapes) == levels.size
+    self_shape = (levels.size, 1, model.s)
+    assert shapes.count(self_shape) == 1, shapes      # the self call
+    blocks = list(shapes)
+    blocks.remove(self_shape)
+    assert len(blocks) > 1
+    for shape in blocks:                              # dense (n, M, s), one level each
+        assert len(shape) == 3 and shape[1] in widths, shapes
+    assert sum(shape[0] for shape in blocks) == levels.size
     _assert_same_bytes(cut, whole)
 
 
