@@ -36,7 +36,6 @@ from .errors import (
     NumericalDomainError,
 )
 from .gradient import unbiased_gradient
-from .levels import LevelWeights
 from .optim import optimize
 from .rng import PHASE_OPTIMIZE, chunk_sizes
 
@@ -96,23 +95,27 @@ def build_parser() -> argparse.ArgumentParser:
                        "inner batches, e.g. eig --estimator stdmc --inner-m 256)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV/JSON artifacts")
+        # Each subcommand takes only the flags it reads.
         p.add_argument("--problem", choices=PROBLEMS)
         p.add_argument("--estimator", choices=ESTIMATORS)
-        p.add_argument("--tau", type=float)
         p.add_argument("--m0", type=int)
-        p.add_argument("--w0", type=float)
         p.add_argument("--inner-m", type=int, dest="inner_m")
         p.add_argument("--proposal", choices=PROPOSALS)
-        p.add_argument("--optimizer", choices=OPTIMIZERS)
-        p.add_argument("--lr", type=float,
-                       help="step-size constant (RM c, or AMSGrad alpha)")
-        p.add_argument("--n-outer", type=int, dest="n_outer")
-        p.add_argument("--iters", type=int, dest="max_iters")
-        p.add_argument("--eig-every", type=int, dest="eig_every")
-        p.add_argument("--levels", type=int)
-        p.add_argument("--samples-per-level", type=int, dest="samples_per_level")
         p.add_argument("--xi0", type=_parse_floats,
                        help="initial design, comma-separated")
+        if name == "decay":
+            p.add_argument("--levels", type=int)
+            p.add_argument("--samples-per-level", type=int, dest="samples_per_level")
+            continue
+        p.add_argument("--tau", type=float)
+        p.add_argument("--w0", type=float)
+        p.add_argument("--n-outer", type=int, dest="n_outer")
+        if name == "optimize":
+            p.add_argument("--optimizer", choices=OPTIMIZERS)
+            p.add_argument("--lr", type=float,
+                           help="step-size constant (RM c, or AMSGrad alpha)")
+            p.add_argument("--iters", type=int, dest="max_iters")
+            p.add_argument("--eig-every", type=int, dest="eig_every")
     return parser
 
 
@@ -126,24 +129,16 @@ def load_config(args) -> RunConfig:
         cfg = default_config(args.problem or "testcase")
     overrides = {name: value for name, value in vars(args).items()
                  if name in RunConfig.__dataclass_fields__}
-    if args.lr is not None:
+    if getattr(args, "lr", None) is not None:
         key = "rm_c" if (overrides.get("optimizer") or cfg.optimizer) == "rm" \
             else "amsgrad_alpha"
         overrides[key] = args.lr
     return cfg.with_overrides(**overrides)
 
 
-def _weights(cfg: RunConfig) -> LevelWeights:
-    """Level distribution of the configured estimator: the fixed-M nested
-    estimator ("stdmc") is the point mass at level 0 with ``m0 = inner_m``."""
-    if cfg.estimator == "stdmc":
-        return LevelWeights(m0=cfg.inner_m, w0_override=1.0)
-    return cfg.make_weights()
-
-
 def _eig_at(cfg: RunConfig, model, design, n_outer: int, threads: int, base_index: int = 0):
     return eig_unbiased_mlmc(
-        model, design, n_outer, _weights(cfg), cfg.make_proposal_factory(), cfg.seed,
+        model, design, n_outer, cfg.make_weights(), cfg.make_proposal_factory(), cfg.seed,
         threads=threads, base_index=base_index,
     )
 
@@ -188,7 +183,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     model = cfg.make_model()
     base = cfg.make_design()
     box = cfg.make_box()
-    weights = _weights(cfg)
+    weights = cfg.make_weights()
     factory = cfg.make_proposal_factory()
     chunks_per_iter = len(chunk_sizes(cfg.n_outer))
 

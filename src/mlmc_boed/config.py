@@ -115,7 +115,7 @@ class RunConfig:
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must lie in [0, 1)")
         # Validate m0/tau/w0, the box and the initial design eagerly.
-        self.make_weights()
+        LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)
         self.make_design()
         if self.proposal == "laplace" and not hasattr(self.make_model(), "observation_derivs"):
             raise ConfigurationError(
@@ -148,6 +148,9 @@ class RunConfig:
         return Design(xi0)
 
     def make_weights(self) -> LevelWeights:
+        """The estimator's level law; "stdmc" runs the point mass at level 0."""
+        if self.estimator == "stdmc":
+            return LevelWeights(m0=self.inner_m, w0_override=1.0)
         return LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)
 
     def make_proposal_factory(self):

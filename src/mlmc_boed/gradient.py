@@ -16,18 +16,17 @@ and the draw gives each fit row ``m0 * 2**l_min`` inner samples, so that a
 sample's rows hold its ``m0 * 2**l`` inner samples, first half first.
 
 One likelihood call then evaluates every sample's self term, at its own
-latent value, in the ``(n, 1)`` shape.  The inner samples are evaluated per
-block: a chunk within ``_BLOCK_ENTRIES`` likelihood entries is one block, on
-the fit rows as drawn, and a wider one is cut within its level groups into
-blocks of whole outer samples of one level, each holding at most that many
-entries (or one sample) in the dense ``(n_b, m0 * 2**l)`` shape, so that its
-array passes stay near cache size.  Each block makes one likelihood call,
-and one segmented reduction forms every half-batch sum under its own max
-shift (inner averages are self-normalized, immune to underflow).  Every
-value depends only on its own sample's rows, so block boundaries change no
-bit.  Each chunk owns a deterministic RNG sub-stream, so results are
-bit-reproducible for a fixed master seed no matter how many workers are
-used.
+latent value, in the ``(n, 1)`` shape.  Every other call sees the fit rows
+as drawn, ``(rows, m0 * 2**l_min)``: all of them if the chunk holds at most
+``_BLOCK_ENTRIES`` likelihood entries, else blocks cut within its level
+groups, each the fit rows of whole samples with at most that many entries
+(or of one sample), so that its array passes stay near cache size.  Each
+block makes one likelihood call, and one segmented reduction forms every
+half-batch sum under its own max shift (inner averages are self-normalized,
+immune to underflow).  Every value depends only on its own sample's rows,
+so block boundaries change no bit.  Each chunk owns a deterministic RNG
+sub-stream, so results are bit-reproducible for a fixed master seed no
+matter how many workers are used.
 
 The reduction reads inner rows only, and builds its segment indices from the
 level groups alone.  A sample has one segment per half of its inner rows, or
@@ -135,20 +134,20 @@ def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
 _BLOCK_ENTRIES = 2**17
 
 
-def _blocks(counts, m, entries):
+def _blocks(counts, k, entries):
     """Blocks of a chunk's samples in level order, each within one level
     group and holding at most ``_BLOCK_ENTRIES`` likelihood entries, or one
-    sample.  Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows
+    sample.  Group ``g`` holds ``counts[g]`` samples of ``k[g]`` fit rows
     and ``entries[g]`` entries each.  A block is ``(samples, rows, g)``:
-    slices of its samples and of their inner rows, and its group.
+    slices of its samples and of their fit rows, and its group.
     """
     a = r = 0
-    for g, (c, mg, e) in enumerate(zip(counts.tolist(), m.tolist(), entries.tolist())):
+    for g, (c, kg, e) in enumerate(zip(counts.tolist(), k.tolist(), entries.tolist())):
         step = max(1, _BLOCK_ENTRIES // e)
         for b in range(a, a + c, step):
             n = min(step, a + c - b)
-            yield slice(b, b + n), slice(r, r + n * mg), g
-            r += n * mg
+            yield slice(b, b + n), slice(r, r + n * kg), g
+            r += n * kg
         a += c
 
 
@@ -159,8 +158,8 @@ def _chunk_variables(
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), and ``psi`` its fine-level
-    psi variable if the chunk has a single level (else ``None``).  The self
-    call, the fit rows and the blocks are as in the module docstring.
+    psi variable if the chunk has a single level (else ``None``).  Besides
+    the self call, each likelihood call gets fit rows (module docstring).
     Without ``scored`` the scores are dropped and the variables are log mean
     likelihoods.
     """
@@ -169,8 +168,8 @@ def _chunk_variables(
     counts = bins[lv]
     m = m0 * 2**lv
     theta, eps, y = _draw_outer(model, design, levels.size, rng)
-    reps = (2 ** (lv - lv[0])).repeat(counts)
-    rows = [a.repeat(reps, axis=0) for a in (theta, eps, y)]
+    k = 2 ** (lv - lv[0])                         # fit rows of a sample, per group
+    rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
     fitted = proposal_factory.fit(model, design, *rows)
     inner, corr = fitted.sample_inner(rng, int(m[0]))
     self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
@@ -187,11 +186,10 @@ def _chunk_variables(
     if inner.size // model.s * model.t <= _BLOCK_ENTRIES:      # one block
         delta, psi = block(rows[0], rows[1], inner, corr, self_term, counts, m, head_split)
     else:
-        inner, corr = inner.reshape(-1, model.s), corr.reshape(-1)
         parts = [
-            block(theta[i], eps[i], inner[r].reshape(i.stop - i.start, -1, model.s), corr[r],
-                  self_term[i], [i.stop - i.start], m[g : g + 1], head_split or g > 0)
-            for i, r, g in _blocks(counts, m, m * model.t)
+            block(rows[0][f], rows[1][f], inner[f], corr[f], self_term[i],
+                  [i.stop - i.start], m[g : g + 1], head_split or g > 0)
+            for i, f, g in _blocks(counts, k, m * model.t)
         ]
         delta, psi = (np.concatenate(p) for p in zip(*parts))
     if lv.size == 1:

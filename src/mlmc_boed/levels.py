@@ -32,7 +32,7 @@ class LevelWeights:
         m0 = self.m0
         if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)) or m0 < 1:
             raise ConfigurationError("m0 must be a positive integer")
-        if self.tau <= 1.0:
+        if not self.tau > 1.0:                 # NaN included
             raise ConfigurationError(
                 "tau must exceed 1 for finite expected cost (w_l ~ 2^(-tau l))"
             )

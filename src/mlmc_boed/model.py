@@ -32,9 +32,9 @@ def equal_runs(*rows):
     """``(starts, lengths)`` of the runs of equal consecutive rows.
 
     Row ``i`` continues the run of row ``i - 1`` when it equals that row in
-    every one of the ``(n, k)`` arrays ``rows``.  Estimators repeat an outer
-    sample's row once per inner row or block of inner rows, so a batch of
-    outer rows is mostly such runs and per-outer work can be done once each.
+    every one of the ``(n, k)`` arrays ``rows``.  An outer sample is a run of
+    equal fit rows; the proposal fit, costly per row, fits each run once,
+    while a model evaluates every row it is given.
     """
     n = rows[0].shape[0]
     first = np.zeros(n, dtype=bool)
@@ -157,9 +157,9 @@ class ProblemModel:
         (n, M, s)``; returns ``(log_rho (n, M), score (n, M, d))``, new
         arrays that the estimators update in place.  Outer rows may repeat:
         the estimators pass a sample's ``(theta, eps)`` once per row of its
-        proposal fit, as consecutive equal rows.  The self evaluation at
-        ``theta_inner = theta`` uses this same code path, in one call per
-        chunk (``theta[:, None, :]``).
+        proposal fit, as consecutive equal rows, and the model evaluates each
+        row as given.  The self evaluation at ``theta_inner = theta`` uses
+        this same code path, in one call per chunk (``theta[:, None, :]``).
         """
         raise NotImplementedError
 

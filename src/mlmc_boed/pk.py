@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .model import LOG_2PI, ProblemModel, equal_runs
+from .model import LOG_2PI, ProblemModel
 
 
 @dataclass(frozen=True)
@@ -283,11 +283,7 @@ class PkProblem(ProblemModel):
         self._check_dims(design, theta, eps)
         p = self.params
         e1, e2 = self._split_noise(eps)
-        # On the ragged (N, 1) layout each outer row repeats once per inner
-        # row: evaluate the outer response once per run of equal rows.
-        starts, runs = equal_runs(theta)
-        y, dy = (np.repeat(a, runs, axis=0)
-                 for a in _mean_and_slope(theta[starts], design.values, p.dose))
+        y, dy = _mean_and_slope(theta, design.values, p.dose)
         dy *= 1.0 + e1                                     # d y_j / d xi_j
         y *= 1.0 + e1
         y += e2                                            # (n, 15)

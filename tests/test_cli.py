@@ -16,6 +16,12 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+# Flags that keep a run of each subcommand small.
+_SMALL_RUN = {"decay": ["--levels", "2", "--samples-per-level", "4"],
+              "optimize": ["--iters", "1", "--n-outer", "8", "--eig-every", "1"],
+              "eig": ["--n-outer", "8"]}
+
+
 def test_decay_outputs(tmp_path):
     rc = run_cli(["decay", "--problem", "testcase", "--levels", "4",
                   "--samples-per-level", "200", "--seed", "1",
@@ -351,8 +357,7 @@ def test_fewer_than_two_decay_levels_is_a_configuration_error(tmp_path, capsys, 
 def test_estimator_a_subcommand_would_replace_is_a_configuration_error(
         tmp_path, capsys, command, estimator, source):
     out = tmp_path / "out"
-    args = [command, "--n-outer", "32", "--levels", "2", "--samples-per-level", "8",
-            "--out", out]
+    args = [command, *_SMALL_RUN[command], "--out", out]
     if source == "flag":
         args += ["--estimator", estimator, "--inner-m", "4"]
     else:
@@ -421,6 +426,22 @@ def test_flag_the_estimator_never_reads_is_a_configuration_error(
     assert rc == 2
     message = _single_configuration_error(capsys)
     assert flag in message and repr(estimator) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("decay", "--tau", "3"), ("decay", "--w0", "0.2"), ("decay", "--n-outer", "8"),
+    ("decay", "--iters", "1"), ("decay", "--eig-every", "1"), ("decay", "--optimizer", "rm"),
+    ("decay", "--lr", "0.1"),
+    ("eig", "--iters", "3"), ("eig", "--eig-every", "1"), ("eig", "--optimizer", "rm"),
+    ("eig", "--lr", "0.1"), ("eig", "--levels", "7"), ("eig", "--samples-per-level", "5"),
+    ("optimize", "--levels", "3"), ("optimize", "--samples-per-level", "5"),
+])
+def test_flag_the_subcommand_never_reads_is_a_configuration_error(
+        tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    assert run_cli([command, *_SMALL_RUN[command], flag, value, "--out", out]) == 2
+    assert flag in _single_configuration_error(capsys)
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_boed import ConfigurationError, RunConfig, default_config
+from mlmc_boed import ConfigurationError, LevelWeights, RunConfig, default_config
 from mlmc_boed.cli import main
 from mlmc_boed.config import ESTIMATORS, OPTIMIZERS
 from mlmc_boed.testcase import XI_LOWER
@@ -59,6 +59,14 @@ def test_factories_consistent():
     assert w.w0_override == 0.9
     box = cfg.make_box()
     assert (box.upper == 24.0).all()
+
+
+def test_stdmc_level_law_is_the_point_mass_at_inner_m():
+    for problem in ("testcase", "pk"):
+        cfg = default_config(problem).with_overrides(estimator="stdmc", inner_m=8)
+        assert cfg.make_weights() == LevelWeights(m0=8, w0_override=1.0)
+    with pytest.raises(ConfigurationError):           # tau is still checked
+        default_config("testcase").with_overrides(estimator="stdmc", tau=0.5)
 
 
 def test_overrides():

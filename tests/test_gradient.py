@@ -398,12 +398,15 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
     make_model, design, factory = PROBLEMS[problem]
     model = make_model()
     levels, m0, _ = _chunk_cases(model)["multi-level"]
-    widths = {m0 * 2**lv for lv in levels.tolist()}
+    lv = np.sort(levels)
+    row_level = lv.repeat(2 ** (lv - lv[0]))          # the chunk's fit rows, in level order
+    sample_ends = set(np.cumsum(2 ** (lv - lv[0])).tolist())
     lik = model.loglik_score
-    shapes = []
+    calls = []
 
     def recorded(design, theta, eps, theta_inner):
-        shapes.append(theta_inner.shape)
+        is_self = theta_inner.shape[1] == 1 and np.array_equal(theta_inner[:, 0], theta)
+        calls.append((is_self, theta.shape[0], theta_inner.shape))
         return lik(design, theta, eps, theta_inner)
 
     def run(budget):
@@ -413,14 +416,17 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
     whole = run(2**40)
     monkeypatch.setattr(model, "loglik_score", recorded)
     cut = run(300)
-    self_shape = (levels.size, 1, model.s)
-    assert shapes.count(self_shape) == 1, shapes      # the self call
-    blocks = list(shapes)
-    blocks.remove(self_shape)
+    assert [shape for is_self, _, shape in calls if is_self] == [(levels.size, 1, model.s)]
+    blocks = [(rows, shape) for is_self, rows, shape in calls if not is_self]
     assert len(blocks) > 1
-    for shape in blocks:                              # dense (n, M, s), one level each
-        assert len(shape) == 3 and shape[1] in widths, shapes
-    assert sum(shape[0] for shape in blocks) == levels.size
+    r = 0
+    for rows, shape in blocks:                        # slices of the fit rows, in order
+        assert shape == (rows, m0 * 2 ** lv[0], model.s), calls
+        level = row_level[r]
+        assert (row_level[r : r + rows] == level).all(), calls     # one level group
+        assert rows % 2 ** (level - lv[0]) == 0 and r + rows in sample_ends, calls
+        r += rows
+    assert r == row_level.size
     _assert_same_bytes(cut, whole)
 
 

@@ -82,7 +82,7 @@ def test_degenerate_override_always_level_zero():
 def test_invalid_parameters_rejected():
     for kwargs in (
         {"tau": 1.0}, {"tau": 0.5}, {"m0": 0}, {"m0": 1.5}, {"m0": 2.0}, {"m0": True},
-        {"m0": "2"}, {"w0_override": 0.0}, {"w0_override": 1.5},
+        {"m0": "2"}, {"w0_override": 0.0}, {"w0_override": 1.5}, {"tau": float("nan")},
     ):
         with pytest.raises(ConfigurationError):
             LevelWeights(**kwargs)

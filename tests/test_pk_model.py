@@ -163,8 +163,8 @@ def test_custom_params_propagate():
 
 
 def test_loglik_rows_sharing_theta_but_not_eps(model):
-    # The ragged layout repeats each outer theta over consecutive rows while
-    # eps and the inner value change; a theta may also come back later.
+    # Each row is evaluated as given: here a theta repeats over consecutive
+    # rows while eps and the inner value change, and comes back later.
     rng = np.random.default_rng(7)
     design = Design(default_config("pk").xi0)
     theta = model.sample_prior(rng, 3)[[0, 0, 1, 2, 2, 2, 0]]
