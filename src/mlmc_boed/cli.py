@@ -92,14 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="64-bit master seed")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (default 1; more pay only on wide "
-                       "inner batches, e.g. eig --estimator stdmc --inner-m 256)")
+                       "inner batches, e.g. a nested eig at inner M 256)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory for CSV/JSON artifacts")
         # Each subcommand takes only the flags it reads.
         p.add_argument("--problem", choices=PROBLEMS)
         p.add_argument("--estimator", choices=ESTIMATORS)
         p.add_argument("--m0", type=int)
-        p.add_argument("--inner-m", type=int, dest="inner_m")
         p.add_argument("--proposal", choices=PROPOSALS)
         p.add_argument("--xi0", type=_parse_floats,
                        help="initial design, comma-separated")
@@ -107,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--levels", type=int)
             p.add_argument("--samples-per-level", type=int, dest="samples_per_level")
             continue
+        p.add_argument("--inner-m", type=int, dest="inner_m")
         p.add_argument("--tau", type=float)
         p.add_argument("--w0", type=float)
         p.add_argument("--n-outer", type=int, dest="n_outer")
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigurationError(f"{args.command} runs the estimators "
                                      f"{', '.join(accepted)}, not {cfg.estimator!r}")
         unread = [f"--{name.replace('_', '-')}" for name in UNREAD_FLAGS[cfg.estimator]
-                  if getattr(args, name) is not None]
+                  if getattr(args, name, None) is not None]
         if unread:
             raise ConfigurationError(f"the estimator {cfg.estimator!r} does not read "
                                      f"{', '.join(unread)}")

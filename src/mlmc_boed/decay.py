@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .gradient import _chunk_variables, _run_chunks
+from .gradient import _run_chunks
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import PHASE_DECAY
@@ -85,23 +85,22 @@ def decay_study(
 ) -> DecayReport:
     """Empirical mean squares of psi_{M_l} and delta_psi_l for l = 0..levels-1.
 
-    The rows do not depend on ``threads``; it sets how many chunks of one
-    level run at once.
+    The rows do not depend on ``threads``; it sets how many batches of one
+    level's chunks run at once.
     """
     check_study(levels, samples_per_level, weights.m0)
 
     def row(lvl):
-        def chunk(rng, n):
-            delta, psi, _ = _chunk_variables(
-                model, design, proposal_factory, rng, np.full(n, lvl), weights.m0,
-                antithetic=antithetic,
-            )
-            return float((delta**2).sum()), float((psi**2).sum()), n
+        def terms(drawn, delta, psi, _):
+            return float((delta**2).sum()), float((psi**2).sum()), drawn.size
 
         # Chunk the outer samples so high levels stay within memory.
         cap = CHUNK_INNER // int(weights.inner_samples(lvl))
         sq_delta, sq_psi, done = _run_chunks(
-            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, threads, chunk, chunk=cap
+            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, threads, model=model,
+            design=design, proposal_factory=proposal_factory, m0=weights.m0,
+            draw_levels=lambda rng, n: np.full(n, lvl), terms=terms, antithetic=antithetic,
+            chunk=cap,
         )
         return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
 

@@ -8,40 +8,48 @@
   ``unbiased_gradient(..., LevelWeights(m0=M, w0_override=1.0), ...)``.
 
 All of these, the EIG estimators and the decay study run on one core over
-fixed-size chunks of outer samples.  A chunk draws its levels first (a point
-mass draws nothing), then all its outer samples sorted by level, then makes
-one proposal fit and one inner draw.  The fit takes a level-``l`` sample as
-``2**(l - l_min)`` equal rows, ``l_min`` being the chunk's lowest level,
-and the draw gives each fit row ``m0 * 2**l_min`` inner samples, so that a
-sample's rows hold its ``m0 * 2**l`` inner samples, first half first.
+fixed-size chunks of outer samples.  A chunk is the unit of randomness: it
+owns a deterministic RNG sub-stream, so results are bit-reproducible for a
+fixed master seed no matter how many workers are used.  A chunk draws its
+levels first (a point mass draws nothing), then all its outer samples
+sorted by level, then makes one proposal fit and one inner draw.  The fit
+takes a level-``l`` sample as ``2**(l - l_min)`` equal rows, ``l_min``
+being the chunk's lowest level, and the draw gives each fit row ``m0 *
+2**l_min`` inner samples, so that a sample's rows hold its ``m0 * 2**l``
+inner samples, first half first.
 
-One likelihood call then evaluates every sample's self term, at its own
-latent value, in the ``(n, 1)`` shape.  Every other call sees the fit rows
-as drawn, ``(rows, m0 * 2**l_min)``: all of them if the chunk holds at most
-``_BLOCK_ENTRIES`` likelihood entries, else blocks cut within its level
-groups, each the fit rows of whole samples with at most that many entries
-(or of one sample), so that its array passes stay near cache size.  Each
-block makes one likelihood call, and one segmented reduction forms every
-half-batch sum under its own max shift (inner averages are self-normalized,
-immune to underflow).  Every value depends only on its own sample's rows,
-so block boundaries change no bit.  Each chunk owns a deterministic RNG
-sub-stream, so results are bit-reproducible for a fixed master seed no
-matter how many workers are used.
+A batch is the unit of evaluation: a run of consecutive chunks of one
+estimate that share the fit-row width ``m0 * 2**l_min`` and hold at most
+``_BATCH_ENTRIES`` likelihood entries (fit rows times width times
+``model.t``) together, or one chunk with more.  The levels plan the
+batches; each batch then draws its chunks and evaluates them at once.  One
+likelihood call evaluates every sample's self term, at its own latent
+value, in the ``(n, 1)`` shape.  Every other call sees the fit rows as
+drawn, ``(rows, m0 * 2**l_min)``: all of them if the batch holds at most
+``_BLOCK_ENTRIES`` entries, else blocks, cuts within its level groups, each
+the fit rows of whole samples with at most that many entries (or of one
+sample), so that its array passes stay near cache size.  Each block makes
+one likelihood call, and one segmented reduction forms every half-batch sum
+under its own max shift (inner averages are self-normalized, immune to
+underflow).  Every value depends only on its own sample's rows, so neither
+batch nor block boundaries change a bit, and each chunk's sums are still
+taken over its own samples, in its drawn order.
 
 The reduction reads inner rows only, and builds its segment indices from the
 level groups alone.  A sample has one segment per half of its inner rows, or
-one for its whole batch if it is not split (level 0, which only the lowest
-level group can be).  So the segment lengths are one repeat of the
-per-group half sizes, with the first group's merged if it is unsplit, the
-starts are their running sum, and each sample's first-half segment is an
-``arange``.  The closing scatter back to the drawn order sorts the levels as
-one-byte keys.
+one for its whole batch if its group is not split (level 0: each chunk of a
+batch brings its own level groups, so a level-0 group can be any of them).
+So the segment lengths are one repeat of the per-group segment sizes, the
+starts are their running sum, and each sample's first segment is the
+running sum of its segment counts.  The closing scatter back to each
+chunk's drawn order sorts its levels as one-byte keys.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,33 +83,29 @@ def _segment_sums(log_w, scores, starts, lengths):
     return top, den, num
 
 
-def _reduce(log_w, scores, self_term, counts, m, head_split, antithetic):
+def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
     """``(delta, psi)`` of every outer sample, in group order, from flat rows
     of inner samples and each sample's self term.
 
-    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows in two
-    halves, but the first group's are one whole batch unless ``head_split``.
-    The inner average is the score ratio, or without ``scores`` the log mean
-    likelihood, and ``self_term`` the self score or self log-likelihood to
-    match; ``delta`` is ``coarse - fine`` if split, else ``self - fine``.
+    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows, in two
+    halves if ``split[g]``, else as one whole batch.  The inner average is
+    the score ratio, or without ``scores`` the log mean likelihood, and
+    ``self_term`` the self score or self log-likelihood to match; ``delta``
+    is ``coarse - fine`` if split, else ``self - fine``.
     """
-    counts, m = np.asarray(counts), np.asarray(m)
-    n, c0 = int(counts.sum()), int(counts[0])
+    counts, m, split = np.asarray(counts), np.asarray(m), np.asarray(split)
     # Segments in row order: each sample's two halves of m/2 rows, or its
     # whole batch if unsplit.  ``ia`` and ``ib`` index each sample's first
     # and second half (both its whole batch if unsplit).
-    lengths = (m // 2).repeat(2 * counts)
-    ia = np.arange(0, 2 * n, 2)
-    split = np.ones(n, dtype=bool)
-    if not head_split:
-        lengths = lengths[c0:]
-        lengths[:c0] = m[0]
-        ia[:c0] //= 2
-        ia[c0:] -= c0
-        split[:c0] = False
+    segs = 1 + split                              # segments of a sample, per group
+    lengths = (m // segs).repeat(segs * counts)
+    segs = segs.repeat(counts)
+    ia = segs.cumsum()
+    ia -= segs
+    split = split.repeat(counts)
+    ib = ia + split
     starts = lengths.cumsum()
     starts -= lengths
-    ib = ia + split
 
     top, den, num = _segment_sums(log_w, scores, starts, lengths)
     top_a, top_b, den_a, den_b = top[ia], top[ib], den[ia], den[ib]
@@ -128,14 +132,76 @@ def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
     return theta, eps, y
 
 
-# Likelihood entries (rows times ``model.t``) a block of whole outer samples
-# may hold; a wider sample is a block of its own.  2**17 entries (2**16
-# test-case rows) keep a block's arrays near the size of a core's cache.
+# Likelihood entries (rows times ``model.t``) that narrow chunks of one
+# estimate may hold together in a batch; a wider chunk is a batch of its
+# own.  2**14 entries join the chunks of a test-case step, and keep apart
+# PK chunks, whose likelihood gets slower per row past this size.
+_BATCH_ENTRIES = 2**14
+
+# Likelihood entries a block of whole outer samples may hold; a wider
+# sample is a block of its own.  2**17 entries (2**16 test-case rows) keep
+# a block's arrays near the size of a core's cache.
 _BLOCK_ENTRIES = 2**17
 
 
+class _Draw(NamedTuple):
+    """Every draw of one chunk.  ``levels`` is in drawn order, and ``lv``
+    and ``counts`` are its level groups: each distinct level, increasing,
+    and its number of samples.  ``theta`` and ``eps`` are the outer samples
+    in level order, ``theta_rows`` and ``eps_rows`` their fit rows, and
+    ``inner`` and ``corr`` the inner draw and its importance correction."""
+
+    levels: np.ndarray
+    lv: np.ndarray
+    counts: np.ndarray
+    theta: np.ndarray
+    eps: np.ndarray
+    theta_rows: np.ndarray
+    eps_rows: np.ndarray
+    inner: np.ndarray
+    corr: np.ndarray
+    n_fallback: int
+
+
+def _draw_chunk(model, design, proposal_factory, rng, levels, m0) -> _Draw:
+    """The draws of one chunk from its stream ``rng``, which has drawn
+    ``levels``: the outer samples sorted by level, one proposal fit on
+    their fit rows and one inner draw (module docstring)."""
+    bins = np.bincount(levels)
+    lv = np.flatnonzero(bins)
+    counts = bins[lv]
+    theta, eps, y = _draw_outer(model, design, levels.size, rng)
+    k = 2 ** (lv - lv[0])                         # fit rows of a sample, per group
+    rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
+    fitted = proposal_factory.fit(model, design, *rows)
+    inner, corr = fitted.sample_inner(rng, int(m0 * 2 ** lv[0]))
+    return _Draw(levels, lv, counts, theta, eps, rows[0], rows[1], inner, corr,
+                 fitted.n_fallback)
+
+
+def _batches(levels, m0, t):
+    """The batches of chunks whose levels are ``levels``: runs of
+    consecutive chunk indices that share the fit-row width ``m0 *
+    2**l_min`` and hold at most ``_BATCH_ENTRIES`` likelihood entries
+    together.  A chunk with more is a batch of its own."""
+    if len(levels) == 1:                          # nothing to join
+        yield [0]
+        return
+    batch, width, total = [], 0, 0
+    for i, chunk_levels in enumerate(levels):
+        bins = np.bincount(chunk_levels)
+        w = m0 << int(bins.nonzero()[0][0])
+        entries = m0 * t * int(bins @ (1 << np.arange(bins.size)))
+        if batch and (w != width or total + entries > _BATCH_ENTRIES):
+            yield batch
+            batch, total = [], 0
+        batch.append(i)
+        width, total = w, total + entries
+    yield batch
+
+
 def _blocks(counts, k, entries):
-    """Blocks of a chunk's samples in level order, each within one level
+    """Blocks of a batch's samples in group order, each within one level
     group and holding at most ``_BLOCK_ENTRIES`` likelihood entries, or one
     sample.  Group ``g`` holds ``counts[g]`` samples of ``k[g]`` fit rows
     and ``entries[g]`` entries each.  A block is ``(samples, rows, g)``:
@@ -151,74 +217,90 @@ def _blocks(counts, k, entries):
         a += c
 
 
-def _chunk_variables(
-    model, design, proposal_factory, rng, levels, m0, *, scored=True, antithetic=True,
-):
-    """``(delta, psi, n_fallback)`` of one chunk, in the order of ``levels``.
+def _batch_variables(model, design, draws, m0, *, scored=True, antithetic=True):
+    """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
+    the order of the chunk's levels.
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), and ``psi`` its fine-level
-    psi variable if the chunk has a single level (else ``None``).  Besides
-    the self call, each likelihood call gets fit rows (module docstring).
-    Without ``scored`` the scores are dropped and the variables are log mean
-    likelihoods.
+    psi variable if the chunk has a single level (else ``None``).  The
+    batch's chunks share their fit-row width, and each brings its own level
+    groups; one self call, and one likelihood call and reduction per block,
+    serve them all (module docstring).  Without ``scored`` the scores are
+    dropped and the variables are log mean likelihoods.
     """
-    bins = np.bincount(levels)
-    lv = np.flatnonzero(bins)
-    counts = bins[lv]
+    lv, counts, theta, eps, theta_rows, eps_rows, inner, corr = (
+        parts[0] if len(draws) == 1 else np.concatenate(parts)
+        for parts in list(zip(*draws))[1:-1]
+    )
     m = m0 * 2**lv
-    theta, eps, y = _draw_outer(model, design, levels.size, rng)
-    k = 2 ** (lv - lv[0])                         # fit rows of a sample, per group
-    rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
-    fitted = proposal_factory.fit(model, design, *rows)
-    inner, corr = fitted.sample_inner(rng, int(m[0]))
+    split = lv > 0                                # only level 0 is unsplit
     self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
-    self_term = self_s.reshape(levels.size, -1) if scored else self_w.reshape(-1)
+    self_term = self_s.reshape(theta.shape[0], -1) if scored else self_w.reshape(-1)
 
-    def block(theta, eps, inner, corr, self_term, counts, m, head_split):
+    def block(theta, eps, inner, corr, self_term, counts, m, split):
         log_rho, scores = model.loglik_score(design, theta, eps, inner)
         log_w = log_rho.reshape(-1)
         log_w += corr.reshape(-1)             # the importance correction, in place
         scores = scores.reshape(log_w.size, -1) if scored else None
-        return _reduce(log_w, scores, self_term, counts, m, head_split, antithetic)
+        return _reduce(log_w, scores, self_term, counts, m, split, antithetic)
 
-    head_split = bool(lv[0] > 0)                  # only level 0 is unsplit
     if inner.size // model.s * model.t <= _BLOCK_ENTRIES:      # one block
-        delta, psi = block(rows[0], rows[1], inner, corr, self_term, counts, m, head_split)
+        delta, psi = block(theta_rows, eps_rows, inner, corr, self_term, counts, m, split)
     else:
         parts = [
-            block(rows[0][f], rows[1][f], inner[f], corr[f], self_term[i],
-                  [i.stop - i.start], m[g : g + 1], head_split or g > 0)
-            for i, f, g in _blocks(counts, k, m * model.t)
+            block(theta_rows[f], eps_rows[f], inner[f], corr[f], self_term[i],
+                  [i.stop - i.start], m[g : g + 1], split[g : g + 1])
+            for i, f, g in _blocks(counts, m // inner.shape[1], m * model.t)
         ]
         delta, psi = (np.concatenate(p) for p in zip(*parts))
-    if lv.size == 1:
-        return delta, psi, fitted.n_fallback
-    # Back from level order to the order of ``levels`` (a stable sort of
-    # one-byte keys, levels being at most ``MAX_LEVEL``).
-    out = np.empty_like(delta)
-    out[np.argsort(levels.astype(np.uint8), kind="stable")] = delta
-    return out, None, fitted.n_fallback
+    out, a = [], 0
+    for d in draws:
+        b = a + d.levels.size
+        if d.lv.size == 1:
+            out.append((delta[a:b], psi[a:b], d.n_fallback))
+        else:
+            # Back from level order to the order of ``levels`` (a stable sort
+            # of one-byte keys, levels being at most ``MAX_LEVEL``).
+            back = np.empty_like(delta[a:b])
+            back[np.argsort(d.levels.astype(np.uint8), kind="stable")] = delta[a:b]
+            out.append((back, None, d.n_fallback))
+        a = b
+    return out
 
 
-def _run_chunks(n_outer, seed, phase, base_index, threads, chunk_fn, chunk=CHUNK_SIZE):
-    """Termwise sums of ``chunk_fn(rng, n)`` over the chunks of ``n_outer``.
+def _run_chunks(
+    n_outer, seed, phase, base_index, threads, *, model, design, proposal_factory, m0,
+    draw_levels, terms, scored=True, antithetic=True, chunk=CHUNK_SIZE,
+):
+    """Termwise sums of ``terms(levels, delta, psi, n_fallback)`` over the
+    chunks of ``n_outer`` outer samples, in chunk order.
 
-    Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``, so
-    the sums do not depend on ``threads``.
+    Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``:
+    first its levels, ``draw_levels(rng, n)``, then the rest of its draws
+    (``_draw_chunk``).  Every chunk draws its levels first, which plan the
+    batches; each batch then draws its chunks and evaluates them at once
+    (``_batch_variables``).  Neither the batches nor ``threads``, the number
+    of batches run at once, change a draw, so the sums depend on neither.
     """
-    jobs = list(enumerate(chunk_sizes(n_outer, chunk)))
+    sizes = chunk_sizes(n_outer, chunk)
+    rngs = [stream(seed, phase, base_index + i) for i in range(len(sizes))]
+    levels = [draw_levels(rng, n) for rng, n in zip(rngs, sizes)]
 
-    def work(job):
-        i, n = job
-        return chunk_fn(stream(seed, phase, base_index + i), n)
+    def work(batch):
+        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], m0)
+                 for i in batch]
+        variables = _batch_variables(model, design, draws, m0, scored=scored,
+                                     antithetic=antithetic)
+        return [terms(levels[i], *v) for i, v in zip(batch, variables)]
 
-    if threads > 1 and len(jobs) > 1:
+    batches = list(_batches(levels, m0, model.t))
+    if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
+            results = list(pool.map(work, batches))
     else:
-        results = [work(j) for j in jobs]
-    return [sum(terms) for terms in zip(*results)]
+        results = [work(b) for b in batches]
+    return [sum(col) for col in zip(*(t for batch in results for t in batch))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +317,21 @@ def _debiased_sums(
     if n_outer < 1:
         raise ContractViolationError("n_outer must be at least 1")
 
-    def chunk(rng, n):
-        levels = weights.sample_levels(rng, n)
-        var, _, n_fallback = _chunk_variables(
-            model, design, proposal_factory, rng, levels, weights.m0,
-            scored=scored, antithetic=antithetic,
-        )
+    def terms(levels, var, _, n_fallback):
         # w_l and the inner cost once per level up to the chunk's highest.
         counts = np.bincount(levels)
         lv = np.arange(counts.size)
         w = weights.weight(lv)[levels]
         contrib = var / (w[:, None] if scored else w)
-        sq_norm = (contrib**2).reshape(n, -1).sum(axis=1)
+        sq_norm = (contrib**2).reshape(levels.size, -1).sum(axis=1)
         cost = int(weights.inner_samples(lv) @ counts)
         return contrib.sum(axis=0), sq_norm.sum(), cost, n_fallback
 
-    return _run_chunks(n_outer, seed, phase, base_index, threads, chunk)
+    return _run_chunks(
+        n_outer, seed, phase, base_index, threads, model=model, design=design,
+        proposal_factory=proposal_factory, m0=weights.m0, draw_levels=weights.sample_levels,
+        terms=terms, scored=scored, antithetic=antithetic,
+    )
 
 
 def _gradient_estimate(n_outer, sums) -> GradientEstimate:

@@ -359,7 +359,7 @@ def test_estimator_a_subcommand_would_replace_is_a_configuration_error(
     out = tmp_path / "out"
     args = [command, *_SMALL_RUN[command], "--out", out]
     if source == "flag":
-        args += ["--estimator", estimator, "--inner-m", "4"]
+        args += ["--estimator", estimator, *(["--inner-m", "4"] if command == "eig" else [])]
     else:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"estimator": estimator, "inner_m": 4}))
@@ -442,6 +442,19 @@ def test_flag_the_subcommand_never_reads_is_a_configuration_error(
     out = tmp_path / "out"
     assert run_cli([command, *_SMALL_RUN[command], flag, value, "--out", out]) == 2
     assert flag in _single_configuration_error(capsys)
+    assert not out.exists()
+
+
+def test_decay_does_not_take_inner_m(tmp_path, capsys):
+    # decay never reads inner_m; the flag used to be listed and then refused
+    # as unread by the estimator.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["decay", "--help"])
+    assert "--inner-m" not in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run_cli(["decay", *_SMALL_RUN["decay"], "--inner-m", "3", "--out", out]) == 2
+    message = _single_configuration_error(capsys)
+    assert "unrecognized arguments: --inner-m 3" in message
     assert not out.exists()
 
 

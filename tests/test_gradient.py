@@ -23,8 +23,8 @@ from mlmc_boed import (
     unbiased_gradient,
 )
 from mlmc_boed import gradient
-from mlmc_boed.gradient import _chunk_variables, _reduce, _segment_sums
-from mlmc_boed.rng import stream
+from mlmc_boed.gradient import _batch_variables, _draw_chunk, _reduce, _segment_sums
+from mlmc_boed.rng import CHUNK_SIZE, PHASE_EIG, PHASE_GRADIENT, stream
 from reduce_reference import reference_reduce, reference_segment_sums
 
 
@@ -63,7 +63,7 @@ def _correction(log_w, scores, antithetic=True):
     n, m = log_w.shape
     self_term = np.zeros((n, scores.shape[-1]))              # cancels at l > 0
     delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), self_term, [n], [m],
-                       True, antithetic)
+                       [True], antithetic)
     return delta
 
 
@@ -115,7 +115,7 @@ def test_level_zero_variable_is_self_minus_ratio():
     # One sample: its self score 5, and inner scores 1 and 3 of weight 1.
     log_w = np.zeros(2)
     scores = np.array([[1.0], [3.0]])
-    delta, psi = _reduce(log_w, scores, np.array([[5.0]]), [1], [2], False, True)
+    delta, psi = _reduce(log_w, scores, np.array([[5.0]]), [1], [2], [False], True)
     assert delta[0, 0] == pytest.approx(5.0 - 2.0)
     assert psi[0, 0] == delta[0, 0]
 
@@ -129,7 +129,7 @@ def test_correction_telescopes_the_fine_variable():
     scores = rng.normal(size=(n, m, 2))
     self_score = rng.normal(size=(n, 2))
     delta, psi_fine = _reduce(log_w.ravel(), scores.reshape(-1, 2), self_score, [n], [m],
-                              True, True)
+                              [True], True)
     psi_a = self_score - _ratio(log_w[:, : m // 2], scores[:, : m // 2])
     psi_b = self_score - _ratio(log_w[:, m // 2 :], scores[:, m // 2 :])
     assert np.allclose(psi_fine, self_score - _ratio(log_w, scores), rtol=1e-12)
@@ -158,10 +158,15 @@ def test_segment_sums_match_a_per_segment_loop(lengths, seed):
 
 @st.composite
 def group_structures(draw):
-    """``(counts, m, has_self, split)`` of a chunk as ``_chunk_variables``
-    forms it: distinct increasing levels, and a self term for every sample."""
+    """``(counts, m, has_self, split)`` of a batch as ``_batch_variables``
+    forms it: 1-3 chunks one after another, each with distinct increasing
+    levels (its own level-0 group, if any), and a self term for every
+    sample."""
     m0 = draw(st.sampled_from([1, 2]))
-    lv = np.array(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5))))
+    lv = np.concatenate([
+        sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]).astype(int)
     has_self = np.ones(lv.size, dtype=bool)
     counts = np.array(draw(st.lists(st.integers(1, 6), min_size=lv.size, max_size=lv.size)))
     return counts, m0 * 2**lv, has_self, lv > 0
@@ -183,7 +188,7 @@ def test_reduce_matches_the_reference_bit_for_bit(structure, d, antithetic, seed
     inner[row0] = False
     self_term = log_w[row0] if scores is None else scores[row0]
     got = _reduce(log_w[inner], None if scores is None else scores[inner], self_term,
-                  counts, m, split[0], antithetic)
+                  counts, m, split, antithetic)
     want = reference_reduce(log_w, scores, counts, m, has_self, split, antithetic)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -248,15 +253,49 @@ def test_ratio_is_convex_combination_of_scores():
     assert scores.min() <= ratio[0] <= scores.max()
 
 
-def test_unbiased_gradient_deterministic_across_threads():
+def _record_calls(monkeypatch, model):
+    """The ``theta_inner`` shape of each of ``model``'s likelihood calls,
+    from now on."""
+    shapes = []
+    lik = model.loglik_score
+
+    def recorded(design, theta, eps, theta_inner):
+        shapes.append(theta_inner.shape)
+        return lik(design, theta, eps, theta_inner)
+
+    monkeypatch.setattr(model, "loglik_score", recorded)
+    return shapes
+
+
+def test_unbiased_gradient_deterministic_across_threads(monkeypatch):
     model = TestCaseProblem()
     design = Design(np.array([1.5]))
     w = LevelWeights(tau=1.5)
-    a = unbiased_gradient(model, design, 2000, w, PriorProposalFactory(), 7, threads=1)
-    b = unbiased_gradient(model, design, 2000, w, PriorProposalFactory(), 7, threads=4)
+    calls = _record_calls(monkeypatch, model)
+    a = unbiased_gradient(model, design, 6000, w, PriorProposalFactory(), 7, threads=1)
+    assert len(calls) >= 4                  # at least 2 batches, so that the pool runs
+    b = unbiased_gradient(model, design, 6000, w, PriorProposalFactory(), 7, threads=4)
     assert np.array_equal(a.grad, b.grad)
     assert a.total_cost == b.total_cost
     assert a.per_sample_sq_norm_mean == b.per_sample_sq_norm_mean
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_narrow_chunks_of_one_estimate_share_their_likelihood_calls(monkeypatch, threads):
+    # The 4 chunks of a test-case step hold about 2,200 likelihood entries
+    # each, so they are one batch: one self call and one inner call.
+    model = TestCaseProblem()
+    calls = _record_calls(monkeypatch, model)
+    unbiased_gradient(model, Design(np.array([1.5])), 2000, LevelWeights(tau=1.5),
+                      PriorProposalFactory(), 1, threads=threads)
+    assert len(calls) == 2 and calls[0] == (2000, 1, model.s)
+    # A PK chunk holds about 10,000 entries, so each is a batch of its own.
+    cfg = default_config("pk")
+    model = cfg.make_model()
+    calls = _record_calls(monkeypatch, model)
+    unbiased_gradient(model, cfg.make_design(), cfg.n_outer, cfg.make_weights(),
+                      cfg.make_proposal_factory(), 1, threads=threads)
+    assert len(calls) == 8
 
 
 def test_standard_gradient_deterministic_across_threads():
@@ -312,6 +351,13 @@ PROBLEMS = {
 # One sample per block, a few samples per block (one level-9 test-case or
 # level-6 PK sample is wider than that), and every chunk as one block.
 BUDGETS = (1, 300, 2**40)
+
+
+def _chunk_variables(model, design, factory, rng, levels, m0, **kw):
+    """``(delta, psi, n_fallback)`` of one chunk, drawn from ``rng`` after
+    its ``levels`` and evaluated as a batch of its own."""
+    draw = _draw_chunk(model, design, factory, rng, levels, m0)
+    return _batch_variables(model, design, [draw], m0, **kw)[0]
 
 
 def _per_budget(monkeypatch, run):
@@ -428,6 +474,59 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
         r += rows
     assert r == row_level.size
     _assert_same_bytes(cut, whole)
+
+
+# ---------------------------------------------------------------------------
+# batches of narrow chunks
+
+BATCH_PROBLEMS = {**PROBLEMS, "pk-prior": (PkProblem, Design(default_config("pk").xi0),
+                                           PriorProposalFactory)}
+BATCH_LAWS = {
+    "tau1.5": LevelWeights(tau=1.5),
+    "w0=0.9": LevelWeights(w0_override=0.9),
+    "m0=64": LevelWeights(m0=64),
+    "point-m0=4": LevelWeights(m0=4, w0_override=1.0),
+}
+
+
+@pytest.mark.parametrize("problem", BATCH_PROBLEMS)
+def test_batch_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
+    make_model, design, factory = BATCH_PROBLEMS[problem]
+    model = make_model()
+    seed = 8
+    # 1,100 samples: two full chunks and a short one, of one width under
+    # every law here.  513: the trailing chunk's one sample has level > 0
+    # under tau 1.5, so its fit rows are wider and it must not join.
+    for phase in (PHASE_GRADIENT, PHASE_EIG):
+        first, last = (BATCH_LAWS["tau1.5"].sample_levels(stream(seed, phase, i), n).min()
+                       for i, n in ((0, CHUNK_SIZE), (1, 1)))
+        assert first == 0 < last
+
+    def run():
+        out = []
+        for w in BATCH_LAWS.values():
+            for n_outer in (1100, CHUNK_SIZE + 1):
+                for antithetic in (True, False):
+                    g = unbiased_gradient(model, design, n_outer, w, factory(), seed,
+                                          antithetic=antithetic)
+                    out += [g.grad, g.total_cost, g.per_sample_sq_norm_mean, g.n_fallback]
+                e = eig_unbiased_mlmc(model, design, n_outer, w, factory(), seed)
+                out += [e.value, e.std_error, e.total_inner_cost, e.n_fallback]
+        return out
+
+    default = run()
+    for budget in (1, 2**40):        # every chunk alone; every run of equal widths together
+        monkeypatch.setattr(gradient, "_BATCH_ENTRIES", budget)
+        _assert_same_bytes(run(), default)
+
+
+def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
+    monkeypatch.setattr(gradient, "_BATCH_ENTRIES", 40)
+    levels = [np.array(lv) for lv in ([0, 1, 0], [0, 2], [0], [1, 1], [2], [0] * 30, [0],
+                                      [0] * 9)]
+    # At m0 2 and t 2: widths 2, 2, 2, 4, 8, 2, 2, 2 and entries 16, 20, 4,
+    # 16, 16, 120, 4, 36.
+    assert list(gradient._batches(levels, 2, 2)) == [[0, 1, 2], [3], [4], [5], [6, 7]]
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
