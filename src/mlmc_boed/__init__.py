@@ -6,13 +6,12 @@ from antithetic randomized multilevel Monte Carlo corrections.
 """
 
 from .config import RunConfig, default_config
-from .decay import DecayReport, DecayRow, decay_study, fit_beta
+from .decay import DecayReport, DecayRow, decay_study
 from .eig import (
     EigEstimate,
     eig_nested,
     eig_unbiased_mlmc,
     testcase_eig_closed,
-    testcase_eig_upper,
     testcase_optimal_design,
 )
 from .errors import (
@@ -24,10 +23,10 @@ from .errors import (
 from .gradient import GradientEstimate, unbiased_gradient
 from .levels import LevelWeights
 from .model import Design, ProblemModel
-from .optim import BoxDomain, TraceRow, optimize, project
-from .pk import PkParams, PkProblem, pk_mean_response
-from .proposals import LaplaceProposalFactory, PriorProposalFactory, laplace_fit_batch
-from .testcase import TestCaseParams, TestCaseProblem, gain_g, gain_h
+from .optim import BoxDomain, TraceRow, optimize
+from .pk import PkParams, PkProblem
+from .proposals import LaplaceProposalFactory, PriorProposalFactory
+from .testcase import TestCaseParams, TestCaseProblem
 
 __all__ = [
     "BoxDomain",
@@ -54,15 +53,8 @@ __all__ = [
     "default_config",
     "eig_nested",
     "eig_unbiased_mlmc",
-    "fit_beta",
-    "gain_g",
-    "gain_h",
-    "laplace_fit_batch",
     "optimize",
-    "pk_mean_response",
-    "project",
     "testcase_eig_closed",
-    "testcase_eig_upper",
     "testcase_optimal_design",
     "unbiased_gradient",
 ]

@@ -23,6 +23,11 @@ from .rng import PHASE_DECAY
 # is refused before any draw.
 CHUNK_INNER = 2**22
 
+# Sub-streams of one decay level: chunk ``i`` of level ``l`` draws from
+# stream index ``l * LEVEL_STREAMS + i``, so a level below the deepest may
+# have at most this many chunks, or it would draw from the next level's.
+LEVEL_STREAMS = 100_000
+
 
 @dataclass(frozen=True)
 class DecayRow:
@@ -69,6 +74,18 @@ def check_study(levels: int, samples_per_level: int, m0: int):
         raise ContractViolationError(
             f"decay level {levels - 1} needs {deepest} inner samples per outer sample, "
             f"more than the {CHUNK_INNER} of one chunk; lower levels or m0")
+    # A level has at least as many chunks as the one below it, so the level
+    # below the deepest has the most of any level that a next one follows.
+    chunks = -(-samples_per_level // _chunk_cap(m0, levels - 2))
+    if chunks > LEVEL_STREAMS:
+        raise ContractViolationError(
+            f"decay level {levels - 2} needs {chunks} chunks, more than the "
+            f"{LEVEL_STREAMS} sub-streams of one level; lower samples per level or m0")
+
+
+def _chunk_cap(m0: int, level: int) -> int:
+    """Outer samples in one chunk of decay level ``level``."""
+    return CHUNK_INNER // (int(m0) * 2**level)
 
 
 def decay_study(
@@ -91,16 +108,15 @@ def decay_study(
     check_study(levels, samples_per_level, weights.m0)
 
     def row(lvl):
-        def terms(drawn, delta, psi, _):
+        def terms(drawn, _, delta, psi, __):
             return float((delta**2).sum()), float((psi**2).sum()), drawn.size
 
         # Chunk the outer samples so high levels stay within memory.
-        cap = CHUNK_INNER // int(weights.inner_samples(lvl))
         sq_delta, sq_psi, done = _run_chunks(
-            samples_per_level, seed, PHASE_DECAY, lvl * 100_000, threads, model=model,
+            samples_per_level, seed, PHASE_DECAY, lvl * LEVEL_STREAMS, threads, model=model,
             design=design, proposal_factory=proposal_factory, m0=weights.m0,
             draw_levels=lambda rng, n: np.full(n, lvl), terms=terms, antithetic=antithetic,
-            chunk=cap,
+            chunk=_chunk_cap(weights.m0, lvl),
         )
         return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
 

@@ -35,14 +35,6 @@ class EigEstimate:
     n_fallback: int     # outer samples whose proposal fell back to the prior
 
 
-def _eig_estimate(n_outer, sums) -> EigEstimate:
-    total, total_sq, cost, n_fallback = sums
-    mean = total / n_outer
-    var = max(total_sq / n_outer - mean**2, 0.0)
-    return EigEstimate(value=mean, std_error=sqrt(var / n_outer), n_outer=n_outer,
-                       total_inner_cost=cost, n_fallback=n_fallback)
-
-
 def eig_nested(
     model: ProblemModel,
     design: Design,
@@ -76,11 +68,14 @@ def eig_unbiased_mlmc(
     base_index: int = 0,
 ) -> EigEstimate:
     """Randomized-level debiased EIG estimator with antithetic corrections."""
-    sums = _debiased_sums(
+    total, total_sq, cost, n_fallback = _debiased_sums(
         model, design, n_outer, weights, proposal_factory, seed, threads=threads,
         phase=PHASE_EIG, base_index=base_index, scored=False,
     )
-    return _eig_estimate(n_outer, sums)
+    mean = total / n_outer
+    var = max(total_sq / n_outer - mean**2, 0.0)
+    return EigEstimate(value=mean, std_error=sqrt(var / n_outer), n_outer=n_outer,
+                       total_inner_cost=cost, n_fallback=n_fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@
   point mass at level 0 with ``m0 = M``:
   ``unbiased_gradient(..., LevelWeights(m0=M, w0_override=1.0), ...)``.
 
-All of these, the EIG estimators and the decay study run on one core over
-fixed-size chunks of outer samples.  A chunk is the unit of randomness: it
-owns a deterministic RNG sub-stream, so results are bit-reproducible for a
-fixed master seed no matter how many workers are used.  A chunk draws its
-levels first (a point mass draws nothing), then all its outer samples
-sorted by level, then makes one proposal fit and one inner draw.  The fit
+All of these, the EIG estimators and the decay study run over fixed-size
+chunks of outer samples, their batches (below) on ``threads`` workers.  A
+chunk is the unit of randomness: it owns a deterministic RNG sub-stream, so
+results are bit-reproducible for a fixed master seed no matter how many
+workers are used.  A chunk draws its levels first (a point mass draws
+nothing), which are counted once, then all its outer samples sorted by
+level, then makes one proposal fit and one inner draw.  The fit
 takes a level-``l`` sample as ``2**(l - l_min)`` equal rows, ``l_min``
 being the chunk's lowest level, and the draw gives each fit row ``m0 *
 2**l_min`` inner samples, so that a sample's rows hold its ``m0 * 2**l``
@@ -41,14 +42,15 @@ one for its whole batch if its group is not split (level 0: each chunk of a
 batch brings its own level groups, so a level-0 group can be any of them).
 So the segment lengths are one repeat of the per-group segment sizes, the
 starts are their running sum, and each sample's first segment is the
-running sum of its segment counts.  The closing scatter back to each
-chunk's drawn order sorts its levels as one-byte keys.
+running sum of its segment counts.  The closing scatter puts both variables
+back in each chunk's drawn order, sorting its levels as one-byte keys.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -125,13 +127,6 @@ def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
     return np.where(split, coarse - fine, psi), psi
 
 
-def _draw_outer(model: ProblemModel, design: Design, n: int, rng):
-    theta = model.sample_prior(rng, n)
-    eps = model.sample_noise(rng, n)
-    y = model.simulate(design, theta, eps)
-    return theta, eps, y
-
-
 # Likelihood entries (rows times ``model.t``) that narrow chunks of one
 # estimate may hold together in a batch; a wider chunk is a batch of its
 # own.  2**14 entries join the chunks of a test-case step, and keep apart
@@ -163,14 +158,20 @@ class _Draw(NamedTuple):
     n_fallback: int
 
 
-def _draw_chunk(model, design, proposal_factory, rng, levels, m0) -> _Draw:
+# The fields of its chunks' draws that a batch joins, taken by name.
+_JOINED = attrgetter("lv", "counts", "theta", "eps", "theta_rows", "eps_rows", "inner", "corr")
+
+
+def _draw_chunk(model, design, proposal_factory, rng, levels, bins, m0) -> _Draw:
     """The draws of one chunk from its stream ``rng``, which has drawn
-    ``levels``: the outer samples sorted by level, one proposal fit on
-    their fit rows and one inner draw (module docstring)."""
-    bins = np.bincount(levels)
+    ``levels``, counted in ``bins`` (``np.bincount(levels)``): the outer
+    samples sorted by level, one proposal fit on their fit rows and one
+    inner draw (module docstring)."""
     lv = np.flatnonzero(bins)
     counts = bins[lv]
-    theta, eps, y = _draw_outer(model, design, levels.size, rng)
+    theta = model.sample_prior(rng, levels.size)
+    eps = model.sample_noise(rng, levels.size)
+    y = model.simulate(design, theta, eps)
     k = 2 ** (lv - lv[0])                         # fit rows of a sample, per group
     rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
     fitted = proposal_factory.fit(model, design, *rows)
@@ -179,19 +180,18 @@ def _draw_chunk(model, design, proposal_factory, rng, levels, m0) -> _Draw:
                  fitted.n_fallback)
 
 
-def _batches(levels, m0, t):
-    """The batches of chunks whose levels are ``levels``: runs of
-    consecutive chunk indices that share the fit-row width ``m0 *
-    2**l_min`` and hold at most ``_BATCH_ENTRIES`` likelihood entries
-    together.  A chunk with more is a batch of its own."""
-    if len(levels) == 1:                          # nothing to join
+def _batches(bins, m0, t):
+    """The batches of chunks whose levels are counted in ``bins``, one
+    ``np.bincount`` per chunk: runs of consecutive chunk indices that share
+    the fit-row width ``m0 * 2**l_min`` and hold at most ``_BATCH_ENTRIES``
+    likelihood entries together.  A chunk with more is a batch of its own."""
+    if len(bins) == 1:                            # nothing to join
         yield [0]
         return
     batch, width, total = [], 0, 0
-    for i, chunk_levels in enumerate(levels):
-        bins = np.bincount(chunk_levels)
-        w = m0 << int(bins.nonzero()[0][0])
-        entries = m0 * t * int(bins @ (1 << np.arange(bins.size)))
+    for i, b in enumerate(bins):
+        w = m0 << int(b.nonzero()[0][0])
+        entries = m0 * t * int(b @ (1 << np.arange(b.size)))
         if batch and (w != width or total + entries > _BATCH_ENTRIES):
             yield batch
             batch, total = [], 0
@@ -219,20 +219,19 @@ def _blocks(counts, k, entries):
 
 def _batch_variables(model, design, draws, m0, *, scored=True, antithetic=True):
     """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
-    the order of the chunk's levels.
+    the drawn order of the chunk's levels.
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), and ``psi`` its fine-level
-    psi variable if the chunk has a single level (else ``None``).  The
-    batch's chunks share their fit-row width, and each brings its own level
-    groups; one self call, and one likelihood call and reduction per block,
-    serve them all (module docstring).  Without ``scored`` the scores are
-    dropped and the variables are log mean likelihoods.
+    psi variable.  The batch's chunks share their fit-row width, and each
+    brings its own level groups; one self call, and one likelihood call and
+    reduction per block, serve them all (module docstring).  Without
+    ``scored`` the scores are dropped and the variables are log mean
+    likelihoods.
     """
+    columns = [_JOINED(d) for d in draws]
     lv, counts, theta, eps, theta_rows, eps_rows, inner, corr = (
-        parts[0] if len(draws) == 1 else np.concatenate(parts)
-        for parts in list(zip(*draws))[1:-1]
-    )
+        columns[0] if len(draws) == 1 else map(np.concatenate, zip(*columns)))
     m = m0 * 2**lv
     split = lv > 0                                # only level 0 is unsplit
     self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
@@ -257,14 +256,12 @@ def _batch_variables(model, design, draws, m0, *, scored=True, antithetic=True):
     out, a = [], 0
     for d in draws:
         b = a + d.levels.size
-        if d.lv.size == 1:
-            out.append((delta[a:b], psi[a:b], d.n_fallback))
-        else:
-            # Back from level order to the order of ``levels`` (a stable sort
-            # of one-byte keys, levels being at most ``MAX_LEVEL``).
-            back = np.empty_like(delta[a:b])
-            back[np.argsort(d.levels.astype(np.uint8), kind="stable")] = delta[a:b]
-            out.append((back, None, d.n_fallback))
+        # Back from level order to the order of ``levels`` (a stable sort of
+        # one-byte keys, levels being at most ``MAX_LEVEL``).
+        order = np.argsort(d.levels.astype(np.uint8), kind="stable")
+        delta_back, psi_back = np.empty_like(delta[a:b]), np.empty_like(psi[a:b])
+        delta_back[order], psi_back[order] = delta[a:b], psi[a:b]
+        out.append((delta_back, psi_back, d.n_fallback))
         a = b
     return out
 
@@ -273,8 +270,9 @@ def _run_chunks(
     n_outer, seed, phase, base_index, threads, *, model, design, proposal_factory, m0,
     draw_levels, terms, scored=True, antithetic=True, chunk=CHUNK_SIZE,
 ):
-    """Termwise sums of ``terms(levels, delta, psi, n_fallback)`` over the
-    chunks of ``n_outer`` outer samples, in chunk order.
+    """Termwise sums of ``terms(levels, bins, delta, psi, n_fallback)`` over
+    the chunks of ``n_outer`` outer samples, in chunk order; ``bins`` is
+    ``np.bincount(levels)``, counted once per chunk.
 
     Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``:
     first its levels, ``draw_levels(rng, n)``, then the rest of its draws
@@ -286,15 +284,16 @@ def _run_chunks(
     sizes = chunk_sizes(n_outer, chunk)
     rngs = [stream(seed, phase, base_index + i) for i in range(len(sizes))]
     levels = [draw_levels(rng, n) for rng, n in zip(rngs, sizes)]
+    bins = [np.bincount(lv) for lv in levels]
 
     def work(batch):
-        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], m0)
+        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], bins[i], m0)
                  for i in batch]
         variables = _batch_variables(model, design, draws, m0, scored=scored,
                                      antithetic=antithetic)
-        return [terms(levels[i], *v) for i, v in zip(batch, variables)]
+        return [terms(levels[i], bins[i], *v) for i, v in zip(batch, variables)]
 
-    batches = list(_batches(levels, m0, model.t))
+    batches = list(_batches(bins, m0, model.t))
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, batches))
@@ -317,31 +316,19 @@ def _debiased_sums(
     if n_outer < 1:
         raise ContractViolationError("n_outer must be at least 1")
 
-    def terms(levels, var, _, n_fallback):
+    def terms(levels, bins, var, _, n_fallback):
         # w_l and the inner cost once per level up to the chunk's highest.
-        counts = np.bincount(levels)
-        lv = np.arange(counts.size)
+        lv = np.arange(bins.size)
         w = weights.weight(lv)[levels]
         contrib = var / (w[:, None] if scored else w)
         sq_norm = (contrib**2).reshape(levels.size, -1).sum(axis=1)
-        cost = int(weights.inner_samples(lv) @ counts)
+        cost = int(weights.inner_samples(lv) @ bins)
         return contrib.sum(axis=0), sq_norm.sum(), cost, n_fallback
 
     return _run_chunks(
         n_outer, seed, phase, base_index, threads, model=model, design=design,
         proposal_factory=proposal_factory, m0=weights.m0, draw_levels=weights.sample_levels,
         terms=terms, scored=scored, antithetic=antithetic,
-    )
-
-
-def _gradient_estimate(n_outer, sums) -> GradientEstimate:
-    grad_sum, sq_sum, total_cost, n_fallback = sums
-    return GradientEstimate(
-        grad=grad_sum / n_outer,
-        n_outer=n_outer,
-        total_cost=total_cost,
-        per_sample_sq_norm_mean=sq_sum / n_outer,
-        n_fallback=n_fallback,
     )
 
 
@@ -365,8 +352,14 @@ def unbiased_gradient(
     ``(seed, phase, base_index + chunk)``, making the result independent of
     ``threads``.
     """
-    sums = _debiased_sums(
+    grad_sum, sq_sum, total_cost, n_fallback = _debiased_sums(
         model, design, n_outer, weights, proposal_factory, seed, threads=threads,
         phase=phase, base_index=base_index, scored=True, antithetic=antithetic,
     )
-    return _gradient_estimate(n_outer, sums)
+    return GradientEstimate(
+        grad=grad_sum / n_outer,
+        n_outer=n_outer,
+        total_cost=total_cost,
+        per_sample_sq_norm_mean=sq_sum / n_outer,
+        n_fallback=n_fallback,
+    )

@@ -28,23 +28,6 @@ from .errors import ContractViolationError
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def equal_runs(*rows):
-    """``(starts, lengths)`` of the runs of equal consecutive rows.
-
-    Row ``i`` continues the run of row ``i - 1`` when it equals that row in
-    every one of the ``(n, k)`` arrays ``rows``.  An outer sample is a run of
-    equal fit rows; the proposal fit, costly per row, fits each run once,
-    while a model evaluates every row it is given.
-    """
-    n = rows[0].shape[0]
-    first = np.zeros(n, dtype=bool)
-    first[:1] = True
-    for a in rows:
-        first[1:] |= (a[1:] != a[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return starts, np.diff(starts, append=n)
-
-
 @dataclass(frozen=True)
 class Design:
     """A design vector: one or more finite values."""
@@ -159,7 +142,8 @@ class ProblemModel:
         the estimators pass a sample's ``(theta, eps)`` once per row of its
         proposal fit, as consecutive equal rows, and the model evaluates each
         row as given.  The self evaluation at ``theta_inner = theta`` uses
-        this same code path, in one call per chunk (``theta[:, None, :]``).
+        this same code path, in one call per batch of chunks
+        (``theta[:, None, :]``).
         """
         raise NotImplementedError
 

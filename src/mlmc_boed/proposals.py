@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import LOG_2PI, Design, ProblemModel, equal_runs
+from .model import LOG_2PI, Design, ProblemModel
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +119,19 @@ class PriorProposalFactory:
 class LaplaceProposalFactory:
     """Gaussian importance proposals from a per-outer-sample Laplace fit.
 
-    ``fit`` takes one row per block of inner samples; an outer sample's
-    rows are equal and consecutive, and are fitted once.
+    ``fit`` takes the estimators' fit rows, each of which gets its own inner
+    samples; an outer sample's rows are equal and consecutive, and are
+    fitted once.
     """
 
     name = "laplace"
 
     def fit(self, model: ProblemModel, design: Design, theta, eps, y):
         # Each run of equal (theta, y) rows is one outer sample: fit it once.
-        starts, runs = equal_runs(theta, y)
+        first = np.ones(theta.shape[0], dtype=bool)
+        first[1:] = (theta[1:] != theta[:-1]).any(axis=1) | (y[1:] != y[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        runs = np.diff(starts, append=theta.shape[0])
         means, covs, fallback = laplace_fit_batch(model, design, theta[starts], y[starts])
         chols, bad = _cholesky3(covs)
         fallback |= bad

@@ -10,7 +10,7 @@ the package's closed-form 3x3 fit is compared against them.
 
 import numpy as np
 
-from mlmc_boed.model import LOG_2PI, ProblemModel, equal_runs
+from mlmc_boed.model import LOG_2PI, ProblemModel
 
 # Component k of a packed Hessian is entry SYM_INDEX[k] of the upper triangle.
 SYM_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -119,9 +119,16 @@ def reference_fit_batch(model, design, theta_star, y):
     return means, covs, fallback
 
 
+def _equal_runs(theta, y):
+    """``(starts, lengths)`` of the runs of consecutive rows equal in both."""
+    same = (theta[1:] == theta[:-1]).all(axis=1) & (y[1:] == y[:-1]).all(axis=1)
+    starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
+    return starts, np.diff(np.append(starts, theta.shape[0]))
+
+
 def reference_fit(model, design, theta, eps, y):
     """``(means, covs, chols, fallback, runs)`` of ``LaplaceProposalFactory.fit``."""
-    starts, runs = equal_runs(theta, y)
+    starts, runs = _equal_runs(theta, y)
     means, covs, fallback = reference_fit_batch(model, design, theta[starts], y[starts])
     chols = np.broadcast_to(np.eye(model.s), covs.shape).copy()
     ok = ~fallback

@@ -14,13 +14,19 @@ from math import log, sqrt
 import numpy as np
 from scipy.special import logsumexp
 
-from mlmc_boed.gradient import _draw_outer
 from mlmc_boed.rng import CHUNK_SIZE, PHASE_DECAY, PHASE_EIG, PHASE_GRADIENT, chunk_sizes, stream
 
 
 def _ratio(log_w, scores):
     lin = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
     return np.einsum("nm,nmd->nd", lin, scores) / lin.sum(axis=-1)[:, None]
+
+
+def _draw_outer(model, design, n, rng):
+    """``(theta, eps, y)`` of ``n`` outer samples: prior, then noise."""
+    theta = model.sample_prior(rng, n)
+    eps = model.sample_noise(rng, n)
+    return theta, eps, model.simulate(design, theta, eps)
 
 
 def _groups(model, design, factory, rng, levels, m0):

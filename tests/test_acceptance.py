@@ -21,7 +21,6 @@ from mlmc_boed import (
     decay_study,
     default_config,
     eig_nested,
-    laplace_fit_batch,
     optimize,
     testcase_eig_closed,
     testcase_optimal_design,
@@ -30,6 +29,7 @@ from mlmc_boed import (
 from laplace_reference import LinearGaussianModel
 from loop_reference import _groups
 from mlmc_boed.cli import main as cli_main
+from mlmc_boed.proposals import laplace_fit_batch
 from mlmc_boed.rng import PHASE_OPTIMIZE, stream
 
 

@@ -498,3 +498,28 @@ def test_decay_levels_past_the_chunk_cap_are_a_configuration_error(
         assert rc == 2
         assert "inner samples" in _single_configuration_error(capsys)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("samples,reached", [("200001", False), ("200000", True)])
+def test_decay_levels_sharing_sub_streams_are_a_configuration_error(
+        tmp_path, capsys, monkeypatch, samples, reached):
+    # Level 0 of m0 = 2**21 holds 2 samples a chunk; 200,001 samples would
+    # make it draw from level 1's first sub-stream.  The study never starts.
+    from mlmc_boed import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached_the_study(*args, **kwargs):
+        raise Reached("decay_study was called")
+
+    monkeypatch.setattr(cli, "decay_study", reached_the_study)
+    out = tmp_path / "out"
+    rc = cli.main(["decay", "--levels", "2", "--samples-per-level", samples,
+                   "--m0", str(2**21), "--out", str(out)])
+    if reached:
+        assert rc == 1 and "decay_study was called" in capsys.readouterr().err
+    else:
+        assert rc == 2
+        assert "sub-streams" in _single_configuration_error(capsys)
+        assert not out.exists()

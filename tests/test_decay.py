@@ -14,8 +14,8 @@ from mlmc_boed import (
     PriorProposalFactory,
     TestCaseProblem,
     decay_study,
-    fit_beta,
 )
+from mlmc_boed.decay import check_study, fit_beta
 
 
 def test_fit_beta_on_exact_geometric_decay():
@@ -134,3 +134,14 @@ def test_levels_past_the_chunk_cap_rejected_before_any_draw():
             NoDraws(), Design(np.array([1.5])), 24, 1,
             LevelWeights(m0=1, tau=1.5), PriorProposalFactory(), 14,
         )
+
+
+def test_levels_that_would_share_sub_streams_rejected():
+    # Level 0 of m0 = 2**21 holds 2 samples a chunk: 200,001 samples make
+    # 100,001 chunks, the last of which would draw from level 1's first
+    # sub-stream.  The check refuses the study; it is never started.
+    with pytest.raises(ContractViolationError, match="sub-streams"):
+        check_study(2, 200_001, 2**21)
+    with pytest.raises(ContractViolationError, match="level 1 needs"):
+        check_study(3, 200_001, 2**20)
+    check_study(2, 200_000, 2**21)                # every level in its own streams

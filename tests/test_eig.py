@@ -11,9 +11,9 @@ from mlmc_boed import (
     eig_nested,
     eig_unbiased_mlmc,
     testcase_eig_closed,
-    testcase_eig_upper,
     testcase_optimal_design,
 )
+from mlmc_boed.eig import testcase_eig_upper
 
 
 @pytest.fixture

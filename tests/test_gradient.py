@@ -22,6 +22,7 @@ from mlmc_boed import (
     eig_unbiased_mlmc,
     unbiased_gradient,
 )
+import loop_reference
 from mlmc_boed import gradient
 from mlmc_boed.gradient import _batch_variables, _draw_chunk, _reduce, _segment_sums
 from mlmc_boed.rng import CHUNK_SIZE, PHASE_EIG, PHASE_GRADIENT, stream
@@ -356,7 +357,7 @@ BUDGETS = (1, 300, 2**40)
 def _chunk_variables(model, design, factory, rng, levels, m0, **kw):
     """``(delta, psi, n_fallback)`` of one chunk, drawn from ``rng`` after
     its ``levels`` and evaluated as a batch of its own."""
-    draw = _draw_chunk(model, design, factory, rng, levels, m0)
+    draw = _draw_chunk(model, design, factory, rng, levels, np.bincount(levels), m0)
     return _batch_variables(model, design, [draw], m0, **kw)[0]
 
 
@@ -414,6 +415,28 @@ def test_block_boundaries_change_no_bit_of_a_chunk(monkeypatch, problem):
         assert 2 < calls[-2] < levels.size + 1, name
         _assert_same_bytes(one, whole)
         _assert_same_bytes(few, whole)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_multi_level_psi_comes_back_in_drawn_order(problem):
+    make_model, design, factory = PROBLEMS[problem]
+    model = make_model()
+    cases = _chunk_cases(model)
+    for name in ("multi-level", "eig"):
+        levels, m0, kw = cases[name]
+        delta, psi, _ = _chunk_variables(model, design, factory(), stream(3, 0, 1), levels,
+                                         m0, **kw)
+        assert psi.dtype == delta.dtype and psi.shape == delta.shape, name
+        zero = levels == 0                            # psi is delta at level 0
+        assert zero.any() and psi[zero].tobytes() == delta[zero].tobytes(), name
+    # The gradient psi of every level, sample for sample, against the loop.
+    levels, m0, _ = cases["multi-level"]
+    _, psi, _ = _chunk_variables(model, design, factory(), stream(3, 0, 1), levels, m0)
+    groups, _ = loop_reference._groups(model, design, factory(), stream(3, 0, 1), levels, m0)
+    want = np.empty_like(psi)
+    for level, index, *draws in groups:
+        want[index] = loop_reference.correction_samples(model, design, level, *draws)[1]
+    np.testing.assert_allclose(psi, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
@@ -526,7 +549,8 @@ def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
                                       [0] * 9)]
     # At m0 2 and t 2: widths 2, 2, 2, 4, 8, 2, 2, 2 and entries 16, 20, 4,
     # 16, 16, 120, 4, 36.
-    assert list(gradient._batches(levels, 2, 2)) == [[0, 1, 2], [3], [4], [5], [6, 7]]
+    bins = [np.bincount(lv) for lv in levels]
+    assert list(gradient._batches(bins, 2, 2)) == [[0, 1, 2], [3], [4], [5], [6, 7]]
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)

@@ -11,9 +11,15 @@ from mlmc_boed import (
     LaplaceProposalFactory,
     PkProblem,
     default_config,
+)
+from mlmc_boed.proposals import (
+    FittedGaussian,
+    _cholesky3,
+    _hessian_term,
+    _inv3,
+    _solve3,
     laplace_fit_batch,
 )
-from mlmc_boed.proposals import FittedGaussian, _cholesky3, _hessian_term, _inv3, _solve3
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Fixed before the closed-form rewrite: the largest difference from the

@@ -13,8 +13,8 @@ from mlmc_boed import (
     RunConfig,
     eig_unbiased_mlmc,
     optimize,
-    project,
 )
+from mlmc_boed.optim import project
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import pytest
 from laplace_reference import full_hessian
 from scipy.stats import norm
 
-from mlmc_boed import Design, DomainError, PkParams, PkProblem, default_config, pk_mean_response
+from mlmc_boed import Design, DomainError, PkParams, PkProblem, default_config
+from mlmc_boed.pk import pk_mean_response
 
 PRIOR_MEANS = np.array([0.0, np.log(0.1), np.log(20.0)])
 

@@ -7,12 +7,11 @@ from mlmc_boed import (
     ContractViolationError,
     Design,
     TestCaseProblem,
-    gain_g,
-    gain_h,
     testcase_eig_closed,
-    testcase_eig_upper,
     testcase_optimal_design,
 )
+from mlmc_boed.eig import testcase_eig_upper
+from mlmc_boed.testcase import gain_g, gain_h
 
 
 @pytest.fixture
