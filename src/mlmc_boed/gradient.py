@@ -19,22 +19,24 @@ being the chunk's lowest level, and the draw gives each fit row ``m0 *
 2**l_min`` inner samples, so that a sample's rows hold its ``m0 * 2**l``
 inner samples, first half first.
 
-A batch is the unit of evaluation: a run of consecutive chunks of one
-estimate that share the fit-row width ``m0 * 2**l_min`` and hold at most
-``_BATCH_ENTRIES`` likelihood entries (fit rows times width times
-``model.t``) together, or one chunk with more.  The levels plan the
-batches; each batch then draws its chunks and evaluates them at once.  One
-likelihood call evaluates every sample's self term, at its own latent
-value, in the ``(n, 1)`` shape.  Every other call sees the fit rows as
-drawn, ``(rows, m0 * 2**l_min)``: all of them if the batch holds at most
-``_BLOCK_ENTRIES`` entries, else blocks, cuts within its level groups, each
-the fit rows of whole samples with at most that many entries (or of one
-sample), so that its array passes stay near cache size.  Each block makes
-one likelihood call, and one segmented reduction forms every half-batch sum
-under its own max shift (inner averages are self-normalized, immune to
-underflow).  Every value depends only on its own sample's rows, so neither
-batch nor block boundaries change a bit, and each chunk's sums are still
-taken over its own samples, in its drawn order.
+A batch is the unit of evaluation, and one budget of ``_BLOCK_ENTRIES``
+likelihood entries (fit rows times width times ``model.t``) bounds every
+likelihood call but the self call.  The levels give each chunk's level
+groups before any draw, so they plan the batches and their blocks at once
+(``_plan``): a batch is a run of consecutive chunks of one estimate that
+share the fit-row width ``m0 * 2**l_min`` and hold at most the budget
+together, or one chunk with more.  A batch within the budget is one block
+of all its fit rows; a wider chunk is cut within its level groups into
+blocks of the fit rows of whole samples, each within the budget (or one
+sample), so that array passes stay near cache size.  Each batch then draws
+its chunks and evaluates them at once.  One likelihood call evaluates every
+sample's self term, at its own latent value, in the ``(n, 1)`` shape.  Each
+block makes one call on its fit rows as drawn, ``(rows, m0 * 2**l_min)``,
+and one segmented reduction forms every half-batch sum under its own max
+shift (inner averages are self-normalized, immune to underflow).  Every
+value depends only on its own sample's rows, so neither batch nor block
+boundaries change a bit, and each chunk's sums are still taken over its own
+samples, in its drawn order.
 
 The reduction reads inner rows only, and builds its segment indices from the
 level groups alone.  A sample has one segment per half of its inner rows, or
@@ -127,28 +129,22 @@ def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
     return np.where(split, coarse - fine, psi), psi
 
 
-# Likelihood entries (rows times ``model.t``) that narrow chunks of one
-# estimate may hold together in a batch; a wider chunk is a batch of its
-# own.  2**14 entries join the chunks of a test-case step, and keep apart
-# PK chunks, whose likelihood gets slower per row past this size.
-_BATCH_ENTRIES = 2**14
-
-# Likelihood entries a block of whole outer samples may hold; a wider
-# sample is a block of its own.  2**17 entries (2**16 test-case rows) keep
-# a block's arrays near the size of a core's cache.
-_BLOCK_ENTRIES = 2**17
+# Likelihood entries (fit rows times width times ``model.t``) that one
+# likelihood call may hold: narrow chunks of one estimate join into a batch
+# up to this size, and a wider chunk is cut into blocks of whole samples
+# within it, so that array passes stay near the size of a core's cache.
+# 2**16 entries join the four chunks of a test-case or PK step and cut a
+# test-case `decay` level of 500 samples from level 7 on.
+_BLOCK_ENTRIES = 2**16
 
 
 class _Draw(NamedTuple):
-    """Every draw of one chunk.  ``levels`` is in drawn order, and ``lv``
-    and ``counts`` are its level groups: each distinct level, increasing,
-    and its number of samples.  ``theta`` and ``eps`` are the outer samples
-    in level order, ``theta_rows`` and ``eps_rows`` their fit rows, and
-    ``inner`` and ``corr`` the inner draw and its importance correction."""
+    """Every draw of one chunk.  ``levels`` is in drawn order; ``theta`` and
+    ``eps`` are the outer samples in level order, ``theta_rows`` and
+    ``eps_rows`` their fit rows, and ``inner`` and ``corr`` the inner draw
+    and its importance correction."""
 
     levels: np.ndarray
-    lv: np.ndarray
-    counts: np.ndarray
     theta: np.ndarray
     eps: np.ndarray
     theta_rows: np.ndarray
@@ -159,100 +155,96 @@ class _Draw(NamedTuple):
 
 
 # The fields of its chunks' draws that a batch joins, taken by name.
-_JOINED = attrgetter("lv", "counts", "theta", "eps", "theta_rows", "eps_rows", "inner", "corr")
+_JOINED = attrgetter("theta", "eps", "theta_rows", "eps_rows", "inner", "corr")
 
 
-def _draw_chunk(model, design, proposal_factory, rng, levels, bins, m0) -> _Draw:
+def _draw_chunk(model, design, proposal_factory, rng, levels, lv, counts, m0) -> _Draw:
     """The draws of one chunk from its stream ``rng``, which has drawn
-    ``levels``, counted in ``bins`` (``np.bincount(levels)``): the outer
-    samples sorted by level, one proposal fit on their fit rows and one
-    inner draw (module docstring)."""
-    lv = np.flatnonzero(bins)
-    counts = bins[lv]
+    ``levels``, whose level groups are ``lv`` and ``counts`` (``_plan``):
+    the outer samples sorted by level, one proposal fit on their fit rows
+    and one inner draw (module docstring)."""
     theta = model.sample_prior(rng, levels.size)
     eps = model.sample_noise(rng, levels.size)
     y = model.simulate(design, theta, eps)
-    k = 2 ** (lv - lv[0])                         # fit rows of a sample, per group
+    k = 1 << (lv - lv[0])                         # fit rows of a sample, per group
     rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
     fitted = proposal_factory.fit(model, design, *rows)
     inner, corr = fitted.sample_inner(rng, int(m0 * 2 ** lv[0]))
-    return _Draw(levels, lv, counts, theta, eps, rows[0], rows[1], inner, corr,
-                 fitted.n_fallback)
+    return _Draw(levels, theta, eps, rows[0], rows[1], inner, corr, fitted.n_fallback)
 
 
-def _batches(bins, m0, t):
-    """The batches of chunks whose levels are counted in ``bins``, one
-    ``np.bincount`` per chunk: runs of consecutive chunk indices that share
-    the fit-row width ``m0 * 2**l_min`` and hold at most ``_BATCH_ENTRIES``
-    likelihood entries together.  A chunk with more is a batch of its own."""
-    if len(bins) == 1:                            # nothing to join
-        yield [0]
-        return
-    batch, width, total = [], 0, 0
-    for i, b in enumerate(bins):
-        w = m0 << int(b.nonzero()[0][0])
-        entries = m0 * t * int(b @ (1 << np.arange(b.size)))
-        if batch and (w != width or total + entries > _BATCH_ENTRIES):
-            yield batch
-            batch, total = [], 0
-        batch.append(i)
-        width, total = w, total + entries
-    yield batch
+def _plan(bins, m0, t):
+    """The batches of the chunks whose levels are counted in ``bins``, one
+    ``np.bincount`` per chunk, planned before any draw.
 
-
-def _blocks(counts, k, entries):
-    """Blocks of a batch's samples in group order, each within one level
-    group and holding at most ``_BLOCK_ENTRIES`` likelihood entries, or one
-    sample.  Group ``g`` holds ``counts[g]`` samples of ``k[g]`` fit rows
-    and ``entries[g]`` entries each.  A block is ``(samples, rows, g)``:
-    slices of its samples and of their fit rows, and its group.
+    A batch is ``(chunks, blocks)``.  ``chunks`` holds ``(i, lv, counts,
+    m)`` of each of its chunks: the chunk's index and its level groups, each
+    distinct level, increasing, its number of samples and their inner
+    samples.  The chunks are a run of consecutive indices that share the
+    fit-row width ``m0 * 2**l_min`` and hold at most ``_BLOCK_ENTRIES``
+    likelihood entries together, or one chunk with more.  A block is
+    ``(samples, rows, counts, m, split)``: slices of the batch's samples
+    and of their fit rows, in group order, and the group arguments of
+    ``_reduce``.  A batch within the budget is one block over all its
+    groups; one over it is cut within its level groups into blocks of whole
+    samples, each within the budget, or one sample.
     """
-    a = r = 0
-    for g, (c, kg, e) in enumerate(zip(counts.tolist(), k.tolist(), entries.tolist())):
-        step = max(1, _BLOCK_ENTRIES // e)
-        for b in range(a, a + c, step):
-            n = min(step, a + c - b)
-            yield slice(b, b + n), slice(r, r + n * kg), g
-            r += n * kg
-        a += c
+    runs, width = [], 0                           # [entries, chunks] of each batch
+    for i, b in enumerate(bins):
+        lv = b.nonzero()[0]
+        counts = b[lv]
+        m = m0 << lv
+        entries = int(counts @ m) * t
+        if runs and m[0] == width and runs[-1][0] + entries <= _BLOCK_ENTRIES:
+            runs[-1][0] += entries
+            runs[-1][1].append((i, lv, counts, m))
+        else:
+            runs.append([entries, [(i, lv, counts, m)]])
+            width = m[0]
+    plan = []
+    for entries, chunks in runs:
+        _, lv, counts, m = (chunks[0] if len(chunks) == 1
+                            else (None, *map(np.concatenate, list(zip(*chunks))[1:])))
+        split = lv.astype(bool)                   # only level 0 is unsplit
+        blocks, a, r = [], 0, 0
+        if entries <= _BLOCK_ENTRIES:             # one block over all groups
+            blocks.append((slice(None), slice(None), counts, m, split))
+        else:                                     # one chunk, cut within its groups
+            for g, (c, mg) in enumerate(zip(counts.tolist(), m.tolist())):
+                step, k = max(1, _BLOCK_ENTRIES // (mg * t)), mg // int(m[0])
+                for s in range(a, a + c, step):
+                    n = min(step, a + c - s)
+                    blocks.append((slice(s, s + n), slice(r, r + n * k), [n], m[g : g + 1],
+                                   split[g : g + 1]))
+                    r += n * k
+                a += c
+        plan.append((chunks, blocks))
+    return plan
 
 
-def _batch_variables(model, design, draws, m0, *, scored=True, antithetic=True):
+def _batch_variables(model, design, draws, blocks, *, scored=True, antithetic=True):
     """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
     the drawn order of the chunk's levels.
 
     A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
     correction variable (psi itself at level 0), and ``psi`` its fine-level
-    psi variable.  The batch's chunks share their fit-row width, and each
-    brings its own level groups; one self call, and one likelihood call and
-    reduction per block, serve them all (module docstring).  Without
-    ``scored`` the scores are dropped and the variables are log mean
-    likelihoods.
+    psi variable.  The batch's chunks share their fit-row width; one self
+    call, and one likelihood call and reduction per block of the plan
+    (``_plan``), serve them all (module docstring).  Without ``scored`` the
+    scores are dropped and the variables are log mean likelihoods.
     """
-    columns = [_JOINED(d) for d in draws]
-    lv, counts, theta, eps, theta_rows, eps_rows, inner, corr = (
-        columns[0] if len(draws) == 1 else map(np.concatenate, zip(*columns)))
-    m = m0 * 2**lv
-    split = lv > 0                                # only level 0 is unsplit
+    theta, eps, theta_rows, eps_rows, inner, corr = (
+        _JOINED(draws[0]) if len(draws) == 1
+        else map(np.concatenate, zip(*map(_JOINED, draws))))
     self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
     self_term = self_s.reshape(theta.shape[0], -1) if scored else self_w.reshape(-1)
-
-    def block(theta, eps, inner, corr, self_term, counts, m, split):
-        log_rho, scores = model.loglik_score(design, theta, eps, inner)
+    delta, psi = np.empty_like(self_term), np.empty_like(self_term)
+    for i, f, counts, m, split in blocks:
+        log_rho, scores = model.loglik_score(design, theta_rows[f], eps_rows[f], inner[f])
         log_w = log_rho.reshape(-1)
-        log_w += corr.reshape(-1)             # the importance correction, in place
+        log_w += corr[f].reshape(-1)              # the importance correction, in place
         scores = scores.reshape(log_w.size, -1) if scored else None
-        return _reduce(log_w, scores, self_term, counts, m, split, antithetic)
-
-    if inner.size // model.s * model.t <= _BLOCK_ENTRIES:      # one block
-        delta, psi = block(theta_rows, eps_rows, inner, corr, self_term, counts, m, split)
-    else:
-        parts = [
-            block(theta_rows[f], eps_rows[f], inner[f], corr[f], self_term[i],
-                  [i.stop - i.start], m[g : g + 1], split[g : g + 1])
-            for i, f, g in _blocks(counts, m // inner.shape[1], m * model.t)
-        ]
-        delta, psi = (np.concatenate(p) for p in zip(*parts))
+        delta[i], psi[i] = _reduce(log_w, scores, self_term[i], counts, m, split, antithetic)
     out, a = [], 0
     for d in draws:
         b = a + d.levels.size
@@ -277,8 +269,8 @@ def _run_chunks(
     Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``:
     first its levels, ``draw_levels(rng, n)``, then the rest of its draws
     (``_draw_chunk``).  Every chunk draws its levels first, which plan the
-    batches; each batch then draws its chunks and evaluates them at once
-    (``_batch_variables``).  Neither the batches nor ``threads``, the number
+    batches and their blocks (``_plan``); each batch then draws its chunks
+    and evaluates them at once (``_batch_variables``).  Neither the batches nor ``threads``, the number
     of batches run at once, change a draw, so the sums depend on neither.
     """
     sizes = chunk_sizes(n_outer, chunk)
@@ -287,13 +279,14 @@ def _run_chunks(
     bins = [np.bincount(lv) for lv in levels]
 
     def work(batch):
-        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], bins[i], m0)
-                 for i in batch]
-        variables = _batch_variables(model, design, draws, m0, scored=scored,
+        chunks, blocks = batch
+        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], lv, counts, m0)
+                 for i, lv, counts, _ in chunks]
+        variables = _batch_variables(model, design, draws, blocks, scored=scored,
                                      antithetic=antithetic)
-        return [terms(levels[i], bins[i], *v) for i, v in zip(batch, variables)]
+        return [terms(levels[i], bins[i], *v) for (i, *_), v in zip(chunks, variables)]
 
-    batches = list(_batches(bins, m0, model.t))
+    batches = _plan(bins, m0, model.t)
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, batches))

@@ -60,13 +60,14 @@ class ProblemModel:
     Dimensions: ``d`` design parameters, ``s`` latent parameters, ``s_noise``
     noise components, ``t`` observation components.
 
-    A model that supports the ``laplace`` proposal also has
-    :meth:`prior_logpdf_derivs` and two Laplace hooks that this class does
-    not define, so that ``hasattr(model, "observation_derivs")`` tells
-    whether the fit can run (the fit itself needs ``s = 3``).  The fit reads
-    the prior through :meth:`prior_hessian`, which a model can override to
-    skip the density and gradient it does not use.
+    A model that supports the ``laplace`` proposal also has three Laplace
+    hooks that this class does not define, so that ``hasattr(model,
+    "observation_derivs")`` tells whether the fit can run (the fit itself
+    needs ``s = 3``):
 
+    - ``prior_hessian(theta)`` returns the Hessian of the prior log-density
+      at ``theta (..., s)``, as an array that broadcasts to ``(..., s, s)``:
+      the fit's one prior term.
     - ``observation_derivs(design, theta, second)`` returns ``(value, grad,
       hess)``: the mean observation at ``theta (n, s)`` and its
       theta-derivatives, with shapes ``(n, t)``, ``(n, t, s)`` and
@@ -96,21 +97,6 @@ class ProblemModel:
     def prior_logpdf(self, theta: np.ndarray) -> np.ndarray:
         """Prior log-density, batched over all leading axes of ``theta``."""
         raise NotImplementedError
-
-    def prior_logpdf_derivs(self, theta: np.ndarray):
-        """Return ``(logpdf, grad, hess)`` of the prior log-density (a hook
-        of the Laplace fit, so only a model with ``observation_derivs`` has it).
-
-        ``theta`` has shape ``(..., s)``; the outputs have shapes ``(...,)``,
-        ``(..., s)`` and ``(..., s, s)``.
-        """
-        raise NotImplementedError
-
-    def prior_hessian(self, theta: np.ndarray) -> np.ndarray:
-        """Hessian of the prior log-density at ``theta (..., s)``, as an array
-        that broadcasts to ``(..., s, s)``: the one prior term of the Laplace
-        fit.  This default takes it from :meth:`prior_logpdf_derivs`."""
-        return self.prior_logpdf_derivs(theta)[2]
 
     # -- forward model ----------------------------------------------------
     def simulate(self, design: Design, theta: np.ndarray, eps: np.ndarray) -> np.ndarray:

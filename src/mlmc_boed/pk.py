@@ -73,8 +73,8 @@ def _horner(coeff, y):
 def _phi_derivs(u, w, T, order: int, out=None):
     """Scaled divided difference phi = (exp(-wT) - exp(-uT)) / (u - w) and derivatives.
 
-    Returns ``(phi, phi_T)`` for ``order`` 0, ``(phi, phi_u, phi_w, phi_T)``
-    for ``order`` 1, and for ``order`` 2 additionally ``(phi_uu, phi_ww,
+    Returns ``(phi, phi_T)`` for ``order`` 0, ``(phi, phi_u, phi_w)`` for
+    ``order`` 1, and for ``order`` 2 additionally ``(phi_uu, phi_ww,
     phi_uw)``, written into the three arrays of ``out`` if it is given.  ``u``, ``w`` and
     ``T`` are arrays that broadcast together, with ``u, w > 0`` and
     ``T >= 0``.  Stable uniformly in ``u - w``, including the confluent case
@@ -101,11 +101,12 @@ def _phi_derivs(u, w, T, order: int, out=None):
 
     # Each derivative is a power of T times a dimensionless factor: phi = T p,
     # phi_T = p_T, phi_u = T^2 p_u, phi_w = T^2 p_w, phi_uu = T^3 p_uu, ...
-    p_T = uT                               # (uT eu - wT ew) / dT
-    p_T *= eu
-    wT *= ew
-    p_T -= wT
-    p_T *= s
+    if order == 0:
+        p_T = uT                           # (uT eu - wT ew) / dT
+        p_T *= eu
+        wT *= ew
+        p_T -= wT
+        p_T *= s
     p = np.subtract(ew, eu, out=wT)        # (ew - eu) / dT
     p *= s
     if order >= 1:
@@ -132,8 +133,9 @@ def _phi_derivs(u, w, T, order: int, out=None):
         S, S1 = _horner(_SINHC, y), xb * _horner(_SINHC_D1, y)
         E = np.exp(-mTb)
         p.put(band, E * S)
-        p_T.put(band, E * (S * (1.0 - mTb) + xb * S1))
-        if order >= 1:
+        if order == 0:
+            p_T.put(band, E * (S * (1.0 - mTb) + xb * S1))
+        else:
             p_u.put(band, 0.5 * E * (S1 - S))
             p_w.put(band, -0.5 * E * (S1 + S))
         if order == 2:
@@ -149,12 +151,12 @@ def _phi_derivs(u, w, T, order: int, out=None):
     p_u *= T2
     p_w *= T2
     if order == 1:
-        return p, p_u, p_w, p_T
+        return p, p_u, p_w
     T3 = T2 * T
     p_uu *= T3
     p_ww *= T3
     p_uw *= T3
-    return p, p_u, p_w, p_T, p_uu, p_ww, p_uw
+    return p, p_u, p_w, p_uu, p_ww, p_uw
 
 
 def _rates(theta, times, dose):
@@ -182,13 +184,14 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     """Mean concentration and its derivatives at each sampling time.
 
     ``theta`` has shape ``(..., 3)`` in log-parameters; ``times`` has shape
-    ``(k,)``.  Returns ``(value, d_time, grad_theta, hess_theta)`` with shapes
-    ``(..., k)``, ``(..., k)``, ``(..., k, 3)`` and ``(6, ..., k)``; all
-    theta-derivatives are taken with respect to the log-parameters.  The
-    Hessian is symmetric, so only its six distinct entries are returned: the
-    upper triangle row by row, ``(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
-    (2, 2)``, each with the time axis last.  Without ``second`` the Hessian
-    is not formed and ``None`` is returned in its place.
+    ``(k,)``.  Returns ``(value, grad_theta, hess_theta)`` with shapes
+    ``(..., k)``, ``(..., k, 3)`` and ``(6, ..., k)``; all theta-derivatives
+    are taken with respect to the log-parameters (the time derivative is
+    ``_mean_and_slope``'s).  The Hessian is symmetric, so only its six
+    distinct entries are returned: the upper triangle row by row, ``(0, 0),
+    (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)``, each with the time axis last.
+    Without ``second`` the Hessian is not formed and ``None`` is returned in
+    its place.
     """
     u, w, B, times = _rates(theta, times, dose)
     hess = out = None
@@ -196,9 +199,8 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
         hess = np.empty((6,) + np.broadcast_shapes(u.shape, times.shape))
         out = (hess[0], hess[3], hess[1])
     res = _phi_derivs(u, w, times, order=2 if second else 1, out=out)
-    value, up, wp, d_time = res[:4]
+    value, up, wp = res[:3]
     value *= B
-    d_time *= B
     up *= u                                # u phi_u
     wp *= w                                # w phi_w
     grad = np.empty(value.shape + (3,))
@@ -207,8 +209,8 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     g_e = np.multiply(wp, B, out=grad[..., 1])
     np.negative(value, out=grad[..., 2])
     if not second:
-        return value, d_time, grad, None
-    h_aa, h_ee, h_ae = res[4:]             # phi_uu, phi_ww, phi_uw, in hess
+        return value, grad, None
+    h_aa, h_ee, h_ae = res[3:]             # phi_uu, phi_ww, phi_uw, in hess
     h_aa *= u * u                          # B (phi + 3 u phi_u + u^2 phi_uu)
     h_aa += 3 * up
     h_aa *= B
@@ -222,7 +224,7 @@ def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
     np.negative(g_a, out=hess[2])
     np.negative(g_e, out=hess[4])
     hess[5] = value
-    return value, d_time, grad, hess
+    return value, grad, hess
 
 
 class PkProblem(ProblemModel):
@@ -254,14 +256,6 @@ class PkProblem(ProblemModel):
         z = np.asarray(theta, dtype=float) - p.prior_mean
         return (-0.5 * LOG_2PI - 0.5 * np.log(p.prior_var)
                 - z**2 / (2 * p.prior_var)).sum(axis=-1)
-
-    def prior_logpdf_derivs(self, theta):
-        p = self.params
-        theta = np.asarray(theta, dtype=float)
-        logpdf = self.prior_logpdf(theta)
-        grad = -(theta - p.prior_mean) / p.prior_var
-        hess = np.broadcast_to(self.prior_hessian(theta), theta.shape[:-1] + (3, 3)).copy()
-        return logpdf, grad, hess
 
     def prior_hessian(self, theta):
         """The constant ``(3, 3)`` Hessian of the Gaussian prior log-density."""
@@ -327,8 +321,7 @@ class PkProblem(ProblemModel):
         Shapes ``(n, t)``, ``(n, t, 3)`` and the packed ``(6, n, t)`` of
         :func:`pk_mean_response` (``None`` without ``second``).
         """
-        value, _, grad, hess = pk_mean_response(theta, design.values, self.params.dose, second)
-        return value, grad, hess
+        return pk_mean_response(theta, design.values, self.params.dose, second)
 
     def observation_variance(self, value):
         """Per-component observation variance as a function of the mean."""

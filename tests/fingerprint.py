@@ -1,14 +1,19 @@
 """One SHA-256 over the library's fixed-seed outputs.
 
 The panel runs, on test case + ``prior``, pk + ``prior`` and pk +
-``laplace``, and under likelihood block budgets (``gradient._BLOCK_ENTRIES``)
-of 1, 300, 2**17 and 2**40 entries:
+``laplace``, and under likelihood budgets (``gradient._BLOCK_ENTRIES``) of
+1, 300, 2**16 and 2**40 entries:
 
 - ``unbiased_gradient``, antithetic and naive, at 1 and 2 threads, and
   ``eig_unbiased_mlmc``, under five level laws: ``tau`` 1.5, ``m0`` 64, the
   point mass at ``m0`` 4, ``w0`` 0.9, and ``m0`` 3 with ``tau`` 1.2;
 - ``eig_nested`` at inner M 8;
 - ``decay_study`` rows and ``beta_hat``, antithetic and naive.
+
+The budget both joins narrow chunks into batches and cuts wide ones into
+blocks, so the sweep covers both: at 1 entry every chunk is a batch of its
+own and every sample a block of its own, at 2**40 every run of chunks of one
+fit-row width is one batch and one block, and 2**16 is the default.
 
 It prints one hash over the bytes of every output, in a fixed order.  It
 uses public entry points only, so two versions of the package can be
@@ -41,7 +46,7 @@ from mlmc_boed import (  # noqa: E402
     unbiased_gradient,
 )
 
-BUDGETS = (1, 300, 2**17, 2**40)
+BUDGETS = (1, 300, 2**16, 2**40)
 LAWS = {
     "tau1.5": LevelWeights(tau=1.5),
     "m0=64": LevelWeights(m0=64),

@@ -51,13 +51,8 @@ class LinearGaussianModel(ProblemModel):
         return (-0.5 * LOG_2PI - 0.5 * np.log(self.prior_var)
                 - z**2 / (2 * self.prior_var)).sum(axis=-1)
 
-    def prior_logpdf_derivs(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        grad = -(theta - self.prior_mean) / self.prior_var
-        hess = np.broadcast_to(
-            -np.eye(self.s) / self.prior_var, theta.shape[:-1] + (self.s, self.s)
-        ).copy()
-        return self.prior_logpdf(theta), grad, hess
+    def prior_hessian(self, theta):
+        return -np.eye(self.s) / self.prior_var
 
     def observation_derivs(self, design, theta, second: bool):
         theta = np.asarray(theta, dtype=float)
@@ -101,7 +96,7 @@ def reference_fit_batch(model, design, theta_star, y):
     n, t, s = grad.shape
     s_eps = model.observation_variance(gbar)
     E = y - gbar
-    _, _, prior_hess = model.prior_logpdf_derivs(theta_star)
+    prior_hess = model.prior_hessian(theta_star)
 
     GtSinv = np.swapaxes(grad / s_eps[..., None], 1, 2)
     Hterm = ((E / s_eps)[:, None, :] @ hess.reshape(n, t, s * s)).reshape(n, s, s)
@@ -112,7 +107,7 @@ def reference_fit_batch(model, design, theta_star, y):
 
     gbar_hat, grad_hat, _ = model.observation_derivs(design, means, second=False)
     s_hat = model.observation_variance(gbar_hat)
-    _, _, prior_hess_hat = model.prior_logpdf_derivs(means)
+    prior_hess_hat = model.prior_hessian(means)
     prec = np.swapaxes(grad_hat / s_hat[..., None], 1, 2) @ grad_hat - prior_hess_hat
     covs, bad_inv = _per_row(np.linalg.inv, np.broadcast_to(np.eye(s), prec.shape), prec)
     fallback = bad | bad_inv

@@ -24,7 +24,7 @@ from mlmc_boed import (
 )
 import loop_reference
 from mlmc_boed import gradient
-from mlmc_boed.gradient import _batch_variables, _draw_chunk, _reduce, _segment_sums
+from mlmc_boed.gradient import _batch_variables, _draw_chunk, _plan, _reduce, _segment_sums
 from mlmc_boed.rng import CHUNK_SIZE, PHASE_EIG, PHASE_GRADIENT, stream
 from reduce_reference import reference_reduce, reference_segment_sums
 
@@ -273,9 +273,10 @@ def test_unbiased_gradient_deterministic_across_threads(monkeypatch):
     design = Design(np.array([1.5]))
     w = LevelWeights(tau=1.5)
     calls = _record_calls(monkeypatch, model)
-    a = unbiased_gradient(model, design, 6000, w, PriorProposalFactory(), 7, threads=1)
+    # 40 chunks of about 2,200 likelihood entries each: more than one batch.
+    a = unbiased_gradient(model, design, 20_000, w, PriorProposalFactory(), 7, threads=1)
     assert len(calls) >= 4                  # at least 2 batches, so that the pool runs
-    b = unbiased_gradient(model, design, 6000, w, PriorProposalFactory(), 7, threads=4)
+    b = unbiased_gradient(model, design, 20_000, w, PriorProposalFactory(), 7, threads=4)
     assert np.array_equal(a.grad, b.grad)
     assert a.total_cost == b.total_cost
     assert a.per_sample_sq_norm_mean == b.per_sample_sq_norm_mean
@@ -290,13 +291,14 @@ def test_narrow_chunks_of_one_estimate_share_their_likelihood_calls(monkeypatch,
     unbiased_gradient(model, Design(np.array([1.5])), 2000, LevelWeights(tau=1.5),
                       PriorProposalFactory(), 1, threads=threads)
     assert len(calls) == 2 and calls[0] == (2000, 1, model.s)
-    # A PK chunk holds about 10,000 entries, so each is a batch of its own.
+    # A PK chunk holds about 17,000 entries, so the 4 chunks of a PK step
+    # are one batch too at this seed (see ``test_a_pk_step_is_one_batch``).
     cfg = default_config("pk")
     model = cfg.make_model()
     calls = _record_calls(monkeypatch, model)
     unbiased_gradient(model, cfg.make_design(), cfg.n_outer, cfg.make_weights(),
                       cfg.make_proposal_factory(), 1, threads=threads)
-    assert len(calls) == 8
+    assert len(calls) == 2 and calls[0] == (cfg.n_outer, 1, model.s)
 
 
 def test_standard_gradient_deterministic_across_threads():
@@ -357,8 +359,9 @@ BUDGETS = (1, 300, 2**40)
 def _chunk_variables(model, design, factory, rng, levels, m0, **kw):
     """``(delta, psi, n_fallback)`` of one chunk, drawn from ``rng`` after
     its ``levels`` and evaluated as a batch of its own."""
-    draw = _draw_chunk(model, design, factory, rng, levels, np.bincount(levels), m0)
-    return _batch_variables(model, design, [draw], m0, **kw)[0]
+    [([(_, lv, counts, _)], blocks)] = _plan([np.bincount(levels)], m0, model.t)
+    draw = _draw_chunk(model, design, factory, rng, levels, lv, counts, m0)
+    return _batch_variables(model, design, [draw], blocks, **kw)[0]
 
 
 def _per_budget(monkeypatch, run):
@@ -539,18 +542,75 @@ def test_batch_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
 
     default = run()
     for budget in (1, 2**40):        # every chunk alone; every run of equal widths together
-        monkeypatch.setattr(gradient, "_BATCH_ENTRIES", budget)
+        monkeypatch.setattr(gradient, "_BLOCK_ENTRIES", budget)
         _assert_same_bytes(run(), default)
 
 
+def _blocks(plan):
+    """Each block of a plan as ``(samples, rows, counts, m, split)`` lists."""
+    return [[(i, f, list(c), list(m), list(s)) for i, f, c, m, s in blocks]
+            for _, blocks in plan]
+
+
 def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
-    monkeypatch.setattr(gradient, "_BATCH_ENTRIES", 40)
+    monkeypatch.setattr(gradient, "_BLOCK_ENTRIES", 40)
     levels = [np.array(lv) for lv in ([0, 1, 0], [0, 2], [0], [1, 1], [2], [0] * 30, [0],
                                       [0] * 9)]
     # At m0 2 and t 2: widths 2, 2, 2, 4, 8, 2, 2, 2 and entries 16, 20, 4,
     # 16, 16, 120, 4, 36.
-    bins = [np.bincount(lv) for lv in levels]
-    assert list(gradient._batches(bins, 2, 2)) == [[0, 1, 2], [3], [4], [5], [6, 7]]
+    plan = _plan([np.bincount(lv) for lv in levels], 2, 2)
+    assert [[i for i, *_ in chunks] for chunks, _ in plan] == [[0, 1, 2], [3], [4], [5], [6, 7]]
+    for chunks, _ in plan:                        # each chunk's level groups
+        for i, lv, counts, m in chunks:
+            want = np.unique(levels[i], return_counts=True)
+            assert [lv.tolist(), counts.tolist(), m.tolist()] == [*map(list, want),
+                                                                 (2 << want[0]).tolist()]
+    whole = slice(None)
+    # A batch within the budget is one block over all its groups, in chunk
+    # order; the lone chunk of 120 entries is cut into blocks of whole
+    # samples within the budget.
+    cut = [(slice(a, a + 10), slice(a, a + 10), [10], [2], [False]) for a in (0, 10, 20)]
+    assert _blocks(plan) == [
+        [(whole, whole, [2, 1, 1, 1, 1], [2, 4, 2, 8, 2], [False, True, False, True, False])],
+        [(whole, whole, [2], [4], [True])],
+        [(whole, whole, [1], [8], [True])],
+        cut,
+        [(whole, whole, [1, 9], [2, 2], [False, False])],
+    ]
+    # A lone multi-level chunk over the budget is cut within its level
+    # groups, at sample boundaries: 5 level-0 samples of 4 entries, 6 at
+    # level 1 of 8 (two fit rows each), and one at level 4 of 64, wider than
+    # the budget, in a block of its own.
+    plan = _plan([np.bincount([0] * 5 + [1] * 6 + [4])], 2, 2)
+    assert _blocks(plan) == [[
+        (slice(0, 5), slice(0, 5), [5], [2], [False]),
+        (slice(5, 10), slice(5, 15), [5], [4], [True]),
+        (slice(10, 11), slice(15, 17), [1], [4], [True]),
+        (slice(11, 12), slice(17, 33), [1], [32], [True]),
+    ]]
+
+
+def test_a_pk_step_is_one_batch(monkeypatch):
+    # A default pk step of 2,000 outer samples is four chunks which, at this
+    # seed, share the fit-row width and hold fewer likelihood entries than
+    # the budget together: one self call and one inner call serve them all.
+    cfg = default_config("pk")
+    model, design, weights = cfg.make_model(), cfg.make_design(), cfg.make_weights()
+    seed, n_outer = 3, 2000
+    levels = [weights.sample_levels(stream(seed, PHASE_GRADIENT, i), n)
+              for i, n in enumerate((CHUNK_SIZE,) * 3 + (n_outer - 3 * CHUNK_SIZE,))]
+    assert {lv.min() for lv in levels} == {0}
+    entries = sum(int(weights.inner_samples(lv).sum()) for lv in levels) * model.t
+    assert entries <= gradient._BLOCK_ENTRIES
+    lik, calls = model.loglik_score, []
+
+    def counted(*args):
+        calls.append(args[3].shape)
+        return lik(*args)
+
+    monkeypatch.setattr(model, "loglik_score", counted)
+    unbiased_gradient(model, design, n_outer, weights, cfg.make_proposal_factory(), seed)
+    assert calls[0] == (n_outer, 1, model.s) and len(calls) == 2, calls
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)

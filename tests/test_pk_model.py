@@ -6,7 +6,7 @@ from laplace_reference import full_hessian
 from scipy.stats import norm
 
 from mlmc_boed import Design, DomainError, PkParams, PkProblem, default_config
-from mlmc_boed.pk import pk_mean_response
+from mlmc_boed.pk import _mean_and_slope, pk_mean_response
 
 PRIOR_MEANS = np.array([0.0, np.log(0.1), np.log(20.0)])
 
@@ -23,7 +23,7 @@ def _analytic_gbar(theta, times, dose=400.0):
 
 def test_mean_response_reference_values():
     times = np.array([0.0, 1.0])
-    val, d_time, _, _ = pk_mean_response(PRIOR_MEANS[None, :], times)
+    val, d_time = _mean_and_slope(PRIOR_MEANS[None, :], times, 400.0)
     assert val[0, 0] == 0.0
     # initial slope is D ka / V = 400 / 20
     assert d_time[0, 0] == pytest.approx(20.0, abs=1e-10)
@@ -34,7 +34,7 @@ def test_mean_response_matches_naive_formula():
     rng = np.random.default_rng(0)
     theta = PRIOR_MEANS + 0.4 * rng.standard_normal((20, 3))
     times = np.array([0.5, 2.0, 7.0, 23.0])
-    val, _, _, _ = pk_mean_response(theta, times)
+    val, _, _ = pk_mean_response(theta, times)
     for i in range(20):
         assert np.allclose(val[i], _analytic_gbar(theta[i], times), rtol=1e-12)
 
@@ -43,21 +43,21 @@ def test_mean_response_smooth_through_equal_rates():
     # confluent limit: gbar -> D ka T exp(-ka T) / V
     theta = np.array([[np.log(0.1), np.log(0.1), np.log(20.0)]])
     times = np.array([1.0, 5.0])
-    val, _, grad, hess = pk_mean_response(theta, times)
+    val, grad, hess = pk_mean_response(theta, times)
     expected = 400.0 * 0.1 * times * np.exp(-0.1 * times) / 20.0
     assert np.allclose(val[0], expected, rtol=1e-12)
     assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
     # approach from nearby separated rates agrees
     theta2 = np.array([[np.log(0.1) + 1e-9, np.log(0.1), np.log(20.0)]])
-    val2, _, grad2, _ = pk_mean_response(theta2, times)
+    val2, grad2, _ = pk_mean_response(theta2, times)
     assert np.allclose(val[0], val2[0], rtol=1e-7)
     assert np.allclose(grad[0], grad2[0], rtol=1e-6)
 
 
 def test_mean_response_extreme_rates_do_not_overflow():
     theta = np.array([[8.0, -6.0, 3.0]])  # ka = e^8, ke = e^-6
-    val, _, grad, hess = pk_mean_response(theta, np.array([1.0, 24.0]))
+    val, grad, hess = pk_mean_response(theta, np.array([1.0, 24.0]))
     assert np.all(np.isfinite(val)) and np.all(np.isfinite(grad))
     assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(hess))
@@ -67,7 +67,7 @@ def test_mean_response_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     theta = PRIOR_MEANS + 0.3 * rng.standard_normal((6, 3))
     times = np.array([0.5, 3.0, 12.0])
-    val, d_time, grad, packed = pk_mean_response(theta, times)
+    val, grad, packed = pk_mean_response(theta, times)
     assert packed.shape == (6, 6, 3)  # (component, sample, time)
     hess = full_hessian(packed)
     e = 1e-6
@@ -75,12 +75,15 @@ def test_mean_response_derivatives_match_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[:, j] += e
         tm[:, j] -= e
-        vp, _, gp, _ = pk_mean_response(tp, times)
-        vm, _, gm, _ = pk_mean_response(tm, times)
+        vp, gp, _ = pk_mean_response(tp, times)
+        vm, gm, _ = pk_mean_response(tm, times)
         assert np.allclose(grad[..., j], (vp - vm) / (2 * e), rtol=1e-5, atol=1e-8)
         assert np.allclose(hess[..., j, :], (gp - gm) / (2 * e), rtol=1e-4, atol=1e-6)
-    vp, _, _, _ = pk_mean_response(theta, times + e)
-    vm, _, _, _ = pk_mean_response(theta, times - e)
+    # The time derivative is the slope that simulation and the likelihood use.
+    value, d_time = _mean_and_slope(theta, times, 400.0)
+    assert np.array_equal(value, val)
+    vp, _ = _mean_and_slope(theta, times + e, 400.0)
+    vm, _ = _mean_and_slope(theta, times - e, 400.0)
     assert np.allclose(d_time, (vp - vm) / (2 * e), rtol=1e-5, atol=1e-8)
 
 
@@ -100,10 +103,16 @@ def test_prior_entropy(model):
 
 
 def test_prior_derivs(model):
-    theta = PRIOR_MEANS[None, :] + np.array([[0.1, -0.2, 0.05]])
-    lp, grad, hess = model.prior_logpdf_derivs(theta)
-    assert np.allclose(grad[0], -np.array([0.1, -0.2, 0.05]) / 0.05)
+    # The fit's prior hook against second differences of the log-density.
+    theta = PRIOR_MEANS + np.array([0.1, -0.2, 0.05])
+    hess = np.broadcast_to(model.prior_hessian(theta[None, :]), (1, 3, 3))
     assert np.allclose(hess[0], -np.eye(3) / 0.05)
+    e = 1e-4
+    for i, j in np.ndindex(3, 3):
+        di, dj = e * np.eye(3)[i], e * np.eye(3)[j]
+        fd = (model.prior_logpdf(theta + di + dj) - model.prior_logpdf(theta + di - dj)
+              - model.prior_logpdf(theta - di + dj) + model.prior_logpdf(theta - di - dj))
+        assert fd / (4 * e * e) == pytest.approx(hess[0, i, j], abs=1e-4)
 
 
 def test_simulate_mixes_noise_per_time(model):
@@ -113,7 +122,7 @@ def test_simulate_mixes_noise_per_time(model):
     eps[0, 0] = 0.5   # multiplicative on time 1
     eps[0, 3] = 2.0   # additive on time 2
     y = model.simulate(design, theta, eps)
-    gbar, _, _, _ = pk_mean_response(theta, design.values)
+    gbar, _, _ = pk_mean_response(theta, design.values)
     assert y[0, 0] == pytest.approx(gbar[0, 0] * 1.5)
     assert y[0, 1] == pytest.approx(gbar[0, 1] + 2.0)
     assert np.allclose(y[0, 2:], gbar[0, 2:])
@@ -128,7 +137,7 @@ def test_loglik_matches_normal_density(model):
     y = model.simulate(design, theta, eps)
     log_rho, _ = model.loglik_score(design, theta, eps, inner)
     p = model.params
-    gbar_in, _, _, _ = pk_mean_response(inner, design.values)
+    gbar_in, _, _ = pk_mean_response(inner, design.values)
     sd = np.sqrt(p.sigma1_sq * gbar_in**2 + p.sigma2_sq)
     ref = norm.logpdf(y[:, None, :], loc=gbar_in, scale=sd).sum(axis=-1)
     assert np.allclose(log_rho, ref, rtol=1e-12)

@@ -30,7 +30,6 @@ MODEL_METHODS = {
     "sample_prior": ["rng", "n"],
     "sample_noise": ["rng", "n"],
     "prior_logpdf": ["theta"],
-    "prior_logpdf_derivs": ["theta"],
 }
 
 PINNED = (
