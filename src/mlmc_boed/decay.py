@@ -69,7 +69,7 @@ def check_study(levels: int, samples_per_level: int, m0: int):
         raise ContractViolationError("decay study needs at least 2 levels")
     if samples_per_level < 1:
         raise ContractViolationError("decay study needs at least 1 sample per level")
-    deepest = int(m0) * 2 ** (levels - 1)
+    deepest = m0 * 2 ** (levels - 1)
     if deepest > CHUNK_INNER:
         raise ContractViolationError(
             f"decay level {levels - 1} needs {deepest} inner samples per outer sample, "
@@ -85,7 +85,7 @@ def check_study(levels: int, samples_per_level: int, m0: int):
 
 def _chunk_cap(m0: int, level: int) -> int:
     """Outer samples in one chunk of decay level ``level``."""
-    return CHUNK_INNER // (int(m0) * 2**level)
+    return CHUNK_INNER // (m0 * 2**level)
 
 
 def decay_study(

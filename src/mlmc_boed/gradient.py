@@ -21,14 +21,13 @@ inner samples, first half first.
 
 A batch is the unit of evaluation, and one budget of ``_BLOCK_ENTRIES``
 likelihood entries (fit rows times width times ``model.t``) bounds every
-likelihood call but the self call.  The levels give each chunk's level
-groups before any draw, so they plan the batches and their blocks at once
-(``_plan``): a batch is a run of consecutive chunks of one estimate that
-share the fit-row width ``m0 * 2**l_min`` and hold at most the budget
-together, or one chunk with more.  A batch within the budget is one block
-of all its fit rows; a wider chunk is cut within its level groups into
-blocks of the fit rows of whole samples, each within the budget (or one
-sample), so that array passes stay near cache size.  Each batch then draws
+likelihood call but the self call.  The levels give each sample's inner
+count before any draw, so they plan the batches (``_plan``): a batch is a
+run of consecutive chunks of one estimate that share the fit-row width
+``m0 * 2**l_min`` and hold at most the budget together, or one chunk with
+more.  A batch within the budget is one block of all its fit rows; a wider
+one is cut greedily into runs of whole samples, each within the budget (or
+one sample), so that array passes stay near cache size.  Each batch draws
 its chunks and evaluates them at once.  One likelihood call evaluates every
 sample's self term, at its own latent value, in the ``(n, 1)`` shape.  Each
 block makes one call on its fit rows as drawn, ``(rows, m0 * 2**l_min)``,
@@ -38,14 +37,14 @@ value depends only on its own sample's rows, so neither batch nor block
 boundaries change a bit, and each chunk's sums are still taken over its own
 samples, in its drawn order.
 
-The reduction reads inner rows only, and builds its segment indices from the
-level groups alone.  A sample has one segment per half of its inner rows, or
-one for its whole batch if its group is not split (level 0: each chunk of a
-batch brings its own level groups, so a level-0 group can be any of them).
-So the segment lengths are one repeat of the per-group segment sizes, the
-starts are their running sum, and each sample's first segment is the
-running sum of its segment counts.  The closing scatter puts both variables
-back in each chunk's drawn order, sorting its levels as one-byte keys.
+The reduction reads inner rows only, and builds its segment indices from
+each sample's inner count and split flag alone.  A sample has one segment
+per half of its inner rows, or one for its whole batch if it is not split
+(level 0).  So the segment lengths are one repeat of the per-sample segment
+sizes, the starts are their running sum, and each sample's first segment
+is the running sum of its segment counts.  The closing scatter puts both
+variables back in each chunk's drawn order, sorting its levels as one-byte
+keys.
 """
 
 from __future__ import annotations
@@ -87,26 +86,23 @@ def _segment_sums(log_w, scores, starts, lengths):
     return top, den, num
 
 
-def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
-    """``(delta, psi)`` of every outer sample, in group order, from flat rows
-    of inner samples and each sample's self term.
+def _reduce(log_w, scores, self_term, m, split, antithetic):
+    """``(delta, psi)`` of every outer sample from flat rows of inner samples
+    and each sample's self term.
 
-    Group ``g`` holds ``counts[g]`` samples of ``m[g]`` inner rows, in two
-    halves if ``split[g]``, else as one whole batch.  The inner average is
-    the score ratio, or without ``scores`` the log mean likelihood, and
-    ``self_term`` the self score or self log-likelihood to match; ``delta``
-    is ``coarse - fine`` if split, else ``self - fine``.
+    Sample ``j`` holds ``m[j]`` inner rows, in two halves if ``split[j]``,
+    else as one whole batch.  The inner average is the score ratio, or
+    without ``scores`` the log mean likelihood, and ``self_term`` the self
+    score or self log-likelihood to match; ``delta`` is ``coarse - fine`` if
+    split, else ``self - fine``.
     """
-    counts, m, split = np.asarray(counts), np.asarray(m), np.asarray(split)
     # Segments in row order: each sample's two halves of m/2 rows, or its
     # whole batch if unsplit.  ``ia`` and ``ib`` index each sample's first
     # and second half (both its whole batch if unsplit).
-    segs = 1 + split                              # segments of a sample, per group
-    lengths = (m // segs).repeat(segs * counts)
-    segs = segs.repeat(counts)
+    segs = 1 + split                              # segments of each sample
+    lengths = (m >> split).repeat(segs)
     ia = segs.cumsum()
     ia -= segs
-    split = split.repeat(counts)
     ib = ia + split
     starts = lengths.cumsum()
     starts -= lengths
@@ -119,7 +115,7 @@ def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
     den_f = ca * den_a + cb * den_b
     if scores is None:
         half = top + np.log(den) - np.log(lengths)
-        fine = shift + np.log(den_f) - np.log(m.repeat(counts))
+        fine = shift + np.log(den_f) - np.log(m)
     else:
         half = num / den[:, None]
         fine = (ca[:, None] * num[ia] + cb[:, None] * num[ib]) / den_f[:, None]
@@ -131,7 +127,7 @@ def _reduce(log_w, scores, self_term, counts, m, split, antithetic):
 
 # Likelihood entries (fit rows times width times ``model.t``) that one
 # likelihood call may hold: narrow chunks of one estimate join into a batch
-# up to this size, and a wider chunk is cut into blocks of whole samples
+# up to this size, and a wider batch is cut into runs of whole samples
 # within it, so that array passes stay near the size of a core's cache.
 # 2**16 entries join the four chunks of a test-case or PK step and cut a
 # test-case `decay` level of 500 samples from level 7 on.
@@ -158,18 +154,17 @@ class _Draw(NamedTuple):
 _JOINED = attrgetter("theta", "eps", "theta_rows", "eps_rows", "inner", "corr")
 
 
-def _draw_chunk(model, design, proposal_factory, rng, levels, lv, counts, m0) -> _Draw:
+def _draw_chunk(model, design, proposal_factory, rng, levels, m) -> _Draw:
     """The draws of one chunk from its stream ``rng``, which has drawn
-    ``levels``, whose level groups are ``lv`` and ``counts`` (``_plan``):
-    the outer samples sorted by level, one proposal fit on their fit rows
-    and one inner draw (module docstring)."""
+    ``levels``, whose samples have ``m`` inner samples each in level order
+    (``_plan``): the outer samples, one proposal fit on their fit rows and
+    one inner draw (module docstring)."""
     theta = model.sample_prior(rng, levels.size)
     eps = model.sample_noise(rng, levels.size)
     y = model.simulate(design, theta, eps)
-    k = 1 << (lv - lv[0])                         # fit rows of a sample, per group
-    rows = [a.repeat(k.repeat(counts), axis=0) for a in (theta, eps, y)]
+    rows = [a.repeat(m // m[0], axis=0) for a in (theta, eps, y)]
     fitted = proposal_factory.fit(model, design, *rows)
-    inner, corr = fitted.sample_inner(rng, int(m0 * 2 ** lv[0]))
+    inner, corr = fitted.sample_inner(rng, int(m[0]))
     return _Draw(levels, theta, eps, rows[0], rows[1], inner, corr, fitted.n_fallback)
 
 
@@ -177,61 +172,38 @@ def _plan(bins, m0, t):
     """The batches of the chunks whose levels are counted in ``bins``, one
     ``np.bincount`` per chunk, planned before any draw.
 
-    A batch is ``(chunks, blocks)``.  ``chunks`` holds ``(i, lv, counts,
-    m)`` of each of its chunks: the chunk's index and its level groups, each
-    distinct level, increasing, its number of samples and their inner
-    samples.  The chunks are a run of consecutive indices that share the
-    fit-row width ``m0 * 2**l_min`` and hold at most ``_BLOCK_ENTRIES``
-    likelihood entries together, or one chunk with more.  A block is
-    ``(samples, rows, counts, m, split)``: slices of the batch's samples
-    and of their fit rows, in group order, and the group arguments of
-    ``_reduce``.  A batch within the budget is one block over all its
-    groups; one over it is cut within its level groups into blocks of whole
-    samples, each within the budget, or one sample.
+    A batch is a list of ``(i, m)``, one per chunk: the chunk's index and
+    the inner samples of each of its samples, in level order.  The chunks
+    are a run of consecutive indices that share the fit-row width ``m[0] =
+    m0 * 2**l_min`` and hold at most ``_BLOCK_ENTRIES`` likelihood entries
+    together, or one chunk with more.
     """
-    runs, width = [], 0                           # [entries, chunks] of each batch
+    plan, width, entries = [], 0, 0
     for i, b in enumerate(bins):
-        lv = b.nonzero()[0]
-        counts = b[lv]
-        m = m0 << lv
-        entries = int(counts @ m) * t
-        if runs and m[0] == width and runs[-1][0] + entries <= _BLOCK_ENTRIES:
-            runs[-1][0] += entries
-            runs[-1][1].append((i, lv, counts, m))
+        m = (m0 << np.arange(b.size)).repeat(b)
+        n = int(m.sum()) * t
+        if plan and m[0] == width and entries + n <= _BLOCK_ENTRIES:
+            entries += n
+            plan[-1].append((i, m))
         else:
-            runs.append([entries, [(i, lv, counts, m)]])
-            width = m[0]
-    plan = []
-    for entries, chunks in runs:
-        _, lv, counts, m = (chunks[0] if len(chunks) == 1
-                            else (None, *map(np.concatenate, list(zip(*chunks))[1:])))
-        split = lv.astype(bool)                   # only level 0 is unsplit
-        blocks, a, r = [], 0, 0
-        if entries <= _BLOCK_ENTRIES:             # one block over all groups
-            blocks.append((slice(None), slice(None), counts, m, split))
-        else:                                     # one chunk, cut within its groups
-            for g, (c, mg) in enumerate(zip(counts.tolist(), m.tolist())):
-                step, k = max(1, _BLOCK_ENTRIES // (mg * t)), mg // int(m[0])
-                for s in range(a, a + c, step):
-                    n = min(step, a + c - s)
-                    blocks.append((slice(s, s + n), slice(r, r + n * k), [n], m[g : g + 1],
-                                   split[g : g + 1]))
-                    r += n * k
-                a += c
-        plan.append((chunks, blocks))
+            plan.append([(i, m)])
+            width, entries = m[0], n
     return plan
 
 
-def _batch_variables(model, design, draws, blocks, *, scored=True, antithetic=True):
+def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=True):
     """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
     the drawn order of the chunk's levels.
 
-    A level-``l`` sample has ``m0 * 2**l`` inner samples; ``delta`` is its
-    correction variable (psi itself at level 0), and ``psi`` its fine-level
-    psi variable.  The batch's chunks share their fit-row width; one self
-    call, and one likelihood call and reduction per block of the plan
-    (``_plan``), serve them all (module docstring).  Without ``scored`` the
-    scores are dropped and the variables are log mean likelihoods.
+    ``m`` and ``split`` give each of the batch's samples, in level order
+    per chunk, its inner samples, ``m0 * 2**l`` at level ``l``, and whether
+    it is split (``l > 0``); ``delta`` is its correction variable (psi
+    itself at level 0), and ``psi`` its fine-level psi variable.  One self
+    call serves the batch.  A batch within ``_BLOCK_ENTRIES`` is one block;
+    one over it is cut greedily into runs of whole samples, each within the
+    budget or a single sample.  Each block makes one likelihood call and one
+    reduction (module docstring).  Without ``scored`` the scores are dropped
+    and the variables are log mean likelihoods.
     """
     theta, eps, theta_rows, eps_rows, inner, corr = (
         _JOINED(draws[0]) if len(draws) == 1
@@ -239,12 +211,21 @@ def _batch_variables(model, design, draws, blocks, *, scored=True, antithetic=Tr
     self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
     self_term = self_s.reshape(theta.shape[0], -1) if scored else self_w.reshape(-1)
     delta, psi = np.empty_like(self_term), np.empty_like(self_term)
-    for i, f, counts, m, split in blocks:
+    blocks = [(slice(None), slice(None))]
+    if int(m.sum()) * model.t > _BLOCK_ENTRIES:   # runs of whole samples
+        ends = np.concatenate(([0], m.cumsum())) * model.t
+        rows = np.concatenate(([0], (m // m[0]).cumsum()))
+        blocks, a = [], 0
+        while a < m.size:
+            b = max(a + 1, int(ends.searchsorted(ends[a] + _BLOCK_ENTRIES, "right")) - 1)
+            blocks.append((slice(a, b), slice(rows[a], rows[b])))
+            a = b
+    for i, f in blocks:
         log_rho, scores = model.loglik_score(design, theta_rows[f], eps_rows[f], inner[f])
         log_w = log_rho.reshape(-1)
         log_w += corr[f].reshape(-1)              # the importance correction, in place
         scores = scores.reshape(log_w.size, -1) if scored else None
-        delta[i], psi[i] = _reduce(log_w, scores, self_term[i], counts, m, split, antithetic)
+        delta[i], psi[i] = _reduce(log_w, scores, self_term[i], m[i], split[i], antithetic)
     out, a = [], 0
     for d in draws:
         b = a + d.levels.size
@@ -269,9 +250,10 @@ def _run_chunks(
     Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``:
     first its levels, ``draw_levels(rng, n)``, then the rest of its draws
     (``_draw_chunk``).  Every chunk draws its levels first, which plan the
-    batches and their blocks (``_plan``); each batch then draws its chunks
-    and evaluates them at once (``_batch_variables``).  Neither the batches nor ``threads``, the number
-    of batches run at once, change a draw, so the sums depend on neither.
+    batches (``_plan``); each batch then draws its chunks and evaluates them
+    at once (``_batch_variables``).  Neither the batches nor ``threads``, the
+    number of batches run at once, change a draw, so the sums depend on
+    neither.
     """
     sizes = chunk_sizes(n_outer, chunk)
     rngs = [stream(seed, phase, base_index + i) for i in range(len(sizes))]
@@ -279,12 +261,12 @@ def _run_chunks(
     bins = [np.bincount(lv) for lv in levels]
 
     def work(batch):
-        chunks, blocks = batch
-        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], lv, counts, m0)
-                 for i, lv, counts, _ in chunks]
-        variables = _batch_variables(model, design, draws, blocks, scored=scored,
+        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], m)
+                 for i, m in batch]
+        m = batch[0][1] if len(batch) == 1 else np.concatenate([m for _, m in batch])
+        variables = _batch_variables(model, design, draws, m, m > m0, scored=scored,
                                      antithetic=antithetic)
-        return [terms(levels[i], bins[i], *v) for (i, *_), v in zip(chunks, variables)]
+        return [terms(levels[i], bins[i], *v) for (i, _), v in zip(batch, variables)]
 
     batches = _plan(bins, m0, model.t)
     if threads > 1 and len(batches) > 1:

@@ -31,7 +31,7 @@ class BoxDomain:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or np.any(lower >= upper):
+        if lower.shape != upper.shape or not (lower < upper).all():   # NaN included
             raise ContractViolationError("box requires lower < upper componentwise")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)

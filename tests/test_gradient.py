@@ -63,8 +63,8 @@ def _correction(log_w, scores, antithetic=True):
     """``delta`` of ``n`` level > 0 samples from ``(n, M)`` inner weights."""
     n, m = log_w.shape
     self_term = np.zeros((n, scores.shape[-1]))              # cancels at l > 0
-    delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), self_term, [n], [m],
-                       [True], antithetic)
+    delta, _ = _reduce(log_w.ravel(), scores.reshape(n * m, -1), self_term, np.full(n, m),
+                       np.ones(n, dtype=bool), antithetic)
     return delta
 
 
@@ -116,7 +116,8 @@ def test_level_zero_variable_is_self_minus_ratio():
     # One sample: its self score 5, and inner scores 1 and 3 of weight 1.
     log_w = np.zeros(2)
     scores = np.array([[1.0], [3.0]])
-    delta, psi = _reduce(log_w, scores, np.array([[5.0]]), [1], [2], [False], True)
+    delta, psi = _reduce(log_w, scores, np.array([[5.0]]), np.array([2]), np.array([False]),
+                         True)
     assert delta[0, 0] == pytest.approx(5.0 - 2.0)
     assert psi[0, 0] == delta[0, 0]
 
@@ -129,8 +130,8 @@ def test_correction_telescopes_the_fine_variable():
     log_w = rng.normal(size=(n, m))
     scores = rng.normal(size=(n, m, 2))
     self_score = rng.normal(size=(n, 2))
-    delta, psi_fine = _reduce(log_w.ravel(), scores.reshape(-1, 2), self_score, [n], [m],
-                              [True], True)
+    delta, psi_fine = _reduce(log_w.ravel(), scores.reshape(-1, 2), self_score,
+                              np.full(n, m), np.ones(n, dtype=bool), True)
     psi_a = self_score - _ratio(log_w[:, : m // 2], scores[:, : m // 2])
     psi_b = self_score - _ratio(log_w[:, m // 2 :], scores[:, m // 2 :])
     assert np.allclose(psi_fine, self_score - _ratio(log_w, scores), rtol=1e-12)
@@ -159,10 +160,9 @@ def test_segment_sums_match_a_per_segment_loop(lengths, seed):
 
 @st.composite
 def group_structures(draw):
-    """``(counts, m, has_self, split)`` of a batch as ``_batch_variables``
-    forms it: 1-3 chunks one after another, each with distinct increasing
-    levels (its own level-0 group, if any), and a self term for every
-    sample."""
+    """``(counts, m, has_self, split)`` of the level groups of a batch: 1-3
+    chunks one after another, each with distinct increasing levels (its own
+    level-0 group, if any), and a self term for every sample."""
     m0 = draw(st.sampled_from([1, 2]))
     lv = np.concatenate([
         sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
@@ -188,8 +188,9 @@ def test_reduce_matches_the_reference_bit_for_bit(structure, d, antithetic, seed
     inner = np.ones(n_rows, dtype=bool)
     inner[row0] = False
     self_term = log_w[row0] if scores is None else scores[row0]
+    # The package takes its samples one by one, the reference as groups.
     got = _reduce(log_w[inner], None if scores is None else scores[inner], self_term,
-                  counts, m, split, antithetic)
+                  m.repeat(counts), split.repeat(counts), antithetic)
     want = reference_reduce(log_w, scores, counts, m, has_self, split, antithetic)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -334,6 +335,22 @@ def test_invalid_sample_count_rejected():
         unbiased_gradient(model, design, 0, LevelWeights(), PriorProposalFactory(), 0)
 
 
+def test_numpy_integer_m0_gives_the_bytes_of_an_int():
+    model, design, factory = TestCaseProblem(), Design(np.array([1.5])), PriorProposalFactory()
+
+    def run(m0, m_inner):
+        g = unbiased_gradient(model, design, 700, LevelWeights(m0=m0, tau=1.5), factory, 3)
+        e = eig_nested(model, design, 300, m_inner, factory, 4)
+        r = decay_study(model, design, 4, 20, LevelWeights(m0=m0, tau=1.5), factory, 5)
+        return (g.grad, g.total_cost, g.per_sample_sq_norm_mean, e.value, e.std_error,
+                e.total_inner_cost, [[x.mean_sq_psi, x.mean_sq_delta] for x in r.rows])
+
+    want = run(2, 8)
+    for integer in (np.uint64, np.int32):
+        assert type(LevelWeights(m0=integer(2)).m0) is int
+        _assert_same_bytes(run(integer(2), integer(8)), want)
+
+
 @pytest.mark.parametrize("estimator", [eig_nested])
 def test_fixed_m_estimators_reject_an_empty_inner_batch(estimator):
     class NoDraws(TestCaseProblem):
@@ -359,9 +376,9 @@ BUDGETS = (1, 300, 2**40)
 def _chunk_variables(model, design, factory, rng, levels, m0, **kw):
     """``(delta, psi, n_fallback)`` of one chunk, drawn from ``rng`` after
     its ``levels`` and evaluated as a batch of its own."""
-    [([(_, lv, counts, _)], blocks)] = _plan([np.bincount(levels)], m0, model.t)
-    draw = _draw_chunk(model, design, factory, rng, levels, lv, counts, m0)
-    return _batch_variables(model, design, [draw], blocks, **kw)[0]
+    [[(_, m)]] = _plan([np.bincount(levels)], m0, model.t)
+    draw = _draw_chunk(model, design, factory, rng, levels, m)
+    return _batch_variables(model, design, [draw], m, m > m0, **kw)[0]
 
 
 def _per_budget(monkeypatch, run):
@@ -466,7 +483,7 @@ def test_block_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
-def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
+def test_wide_multi_level_chunks_are_cut_into_runs_of_whole_samples(monkeypatch, problem):
     make_model, design, factory = PROBLEMS[problem]
     model = make_model()
     levels, m0, _ = _chunk_cases(model)["multi-level"]
@@ -491,14 +508,14 @@ def test_wide_multi_level_chunks_are_cut_at_level_groups(monkeypatch, problem):
     assert [shape for is_self, _, shape in calls if is_self] == [(levels.size, 1, model.s)]
     blocks = [(rows, shape) for is_self, rows, shape in calls if not is_self]
     assert len(blocks) > 1
-    r = 0
+    r, spans = 0, []
     for rows, shape in blocks:                        # slices of the fit rows, in order
         assert shape == (rows, m0 * 2 ** lv[0], model.s), calls
-        level = row_level[r]
-        assert (row_level[r : r + rows] == level).all(), calls     # one level group
-        assert rows % 2 ** (level - lv[0]) == 0 and r + rows in sample_ends, calls
+        assert r + rows in sample_ends, calls                      # runs of whole samples
+        spans.append(row_level[r] != row_level[r + rows - 1])
         r += rows
     assert r == row_level.size
+    assert any(spans), calls                          # a run spans two level groups
     _assert_same_bytes(cut, whole)
 
 
@@ -546,48 +563,47 @@ def test_batch_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
         _assert_same_bytes(run(), default)
 
 
-def _blocks(plan):
-    """Each block of a plan as ``(samples, rows, counts, m, split)`` lists."""
-    return [[(i, f, list(c), list(m), list(s)) for i, f, c, m, s in blocks]
-            for _, blocks in plan]
+def _block_shapes(monkeypatch, model, design, levels, plan, m0):
+    """The ``theta_inner`` shape of each likelihood call but the self call,
+    per batch of ``plan``, each chunk drawn from its own stream."""
+    calls = _record_calls(monkeypatch, model)
+    blocks = []
+    for batch in plan:
+        draws = [_draw_chunk(model, design, PriorProposalFactory(), np.random.default_rng(i),
+                             levels[i], m) for i, m in batch]
+        m = np.concatenate([m for _, m in batch])
+        del calls[:]
+        _batch_variables(model, design, draws, m, m > m0)
+        assert calls[0] == (m.size, 1, model.s)
+        blocks.append(calls[1:])
+    return blocks
 
 
 def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
     monkeypatch.setattr(gradient, "_BLOCK_ENTRIES", 40)
+    model, design = TestCaseProblem(), Design(np.array([1.5]))
     levels = [np.array(lv) for lv in ([0, 1, 0], [0, 2], [0], [1, 1], [2], [0] * 30, [0],
                                       [0] * 9)]
     # At m0 2 and t 2: widths 2, 2, 2, 4, 8, 2, 2, 2 and entries 16, 20, 4,
     # 16, 16, 120, 4, 36.
-    plan = _plan([np.bincount(lv) for lv in levels], 2, 2)
-    assert [[i for i, *_ in chunks] for chunks, _ in plan] == [[0, 1, 2], [3], [4], [5], [6, 7]]
-    for chunks, _ in plan:                        # each chunk's level groups
-        for i, lv, counts, m in chunks:
-            want = np.unique(levels[i], return_counts=True)
-            assert [lv.tolist(), counts.tolist(), m.tolist()] == [*map(list, want),
-                                                                 (2 << want[0]).tolist()]
-    whole = slice(None)
-    # A batch within the budget is one block over all its groups, in chunk
-    # order; the lone chunk of 120 entries is cut into blocks of whole
-    # samples within the budget.
-    cut = [(slice(a, a + 10), slice(a, a + 10), [10], [2], [False]) for a in (0, 10, 20)]
-    assert _blocks(plan) == [
-        [(whole, whole, [2, 1, 1, 1, 1], [2, 4, 2, 8, 2], [False, True, False, True, False])],
-        [(whole, whole, [2], [4], [True])],
-        [(whole, whole, [1], [8], [True])],
-        cut,
-        [(whole, whole, [1, 9], [2, 2], [False, False])],
-    ]
-    # A lone multi-level chunk over the budget is cut within its level
-    # groups, at sample boundaries: 5 level-0 samples of 4 entries, 6 at
-    # level 1 of 8 (two fit rows each), and one at level 4 of 64, wider than
-    # the budget, in a block of its own.
-    plan = _plan([np.bincount([0] * 5 + [1] * 6 + [4])], 2, 2)
-    assert _blocks(plan) == [[
-        (slice(0, 5), slice(0, 5), [5], [2], [False]),
-        (slice(5, 10), slice(5, 15), [5], [4], [True]),
-        (slice(10, 11), slice(15, 17), [1], [4], [True]),
-        (slice(11, 12), slice(17, 33), [1], [32], [True]),
-    ]]
+    plan = _plan([np.bincount(lv) for lv in levels], 2, model.t)
+    assert [[i for i, _ in batch] for batch in plan] == [[0, 1, 2], [3], [4], [5], [6, 7]]
+    for batch in plan:                            # each chunk's inner counts, in level order
+        for i, m in batch:
+            assert m.tolist() == (2 << np.sort(levels[i])).tolist()
+    # A batch within the budget is one block of all its fit rows, in chunk
+    # order; the lone chunk of 120 entries is cut into runs of whole samples
+    # within the budget.
+    assert _block_shapes(monkeypatch, model, design, levels, plan, 2) == [
+        [(10, 2, 2)], [(2, 4, 2)], [(1, 8, 2)], [(10, 2, 2)] * 3, [(10, 2, 2)]]
+    # A lone multi-level chunk over the budget is cut greedily into runs of
+    # whole samples: 5 level-0 samples of 4 entries and 2 at level 1 of 8
+    # (two fit rows each), then the other 4 at level 1, then one at level 4
+    # of 64, wider than the budget, in a run of its own.
+    levels = [np.array([0] * 5 + [1] * 6 + [4])]
+    plan = _plan([np.bincount(lv) for lv in levels], 2, model.t)
+    assert _block_shapes(monkeypatch, model, design, levels, plan, 2) == [
+        [(9, 2, 2), (8, 2, 2), (16, 2, 2)]]
 
 
 def test_a_pk_step_is_one_batch(monkeypatch):

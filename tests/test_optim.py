@@ -49,8 +49,10 @@ def test_projection_dimension_mismatch(box):
 
 
 def test_invalid_box_rejected():
-    with pytest.raises(ContractViolationError):
-        BoxDomain(lower=np.array([1.0]), upper=np.array([1.0]))
+    # An empty box, and NaN lower and upper bounds, which compare false.
+    for lower, upper in ([1.0], [1.0]), ([np.nan], [1.0]), ([0.0], [np.nan]):
+        with pytest.raises(ContractViolationError):
+            BoxDomain(lower=np.array(lower), upper=np.array(upper))
 
 
 def scripted(grads):
