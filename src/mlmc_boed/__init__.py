@@ -14,12 +14,7 @@ from .eig import (
     testcase_eig_closed,
     testcase_optimal_design,
 )
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DomainError,
-    NumericalDomainError,
-)
+from .errors import ConfigurationError, ContractViolationError, NumericalDomainError
 from .gradient import GradientEstimate, unbiased_gradient
 from .levels import LevelWeights
 from .model import Design, ProblemModel
@@ -35,7 +30,6 @@ __all__ = [
     "DecayReport",
     "DecayRow",
     "Design",
-    "DomainError",
     "EigEstimate",
     "GradientEstimate",
     "LaplaceProposalFactory",

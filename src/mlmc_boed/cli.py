@@ -29,12 +29,7 @@ import numpy as np
 from .config import ESTIMATORS, OPTIMIZERS, PROBLEMS, PROPOSALS, RunConfig, default_config
 from .decay import check_study, decay_study
 from .eig import eig_unbiased_mlmc
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DomainError,
-    NumericalDomainError,
-)
+from .errors import ConfigurationError
 from .gradient import unbiased_gradient
 from .optim import optimize
 from .rng import PHASE_OPTIMIZE, chunk_sizes
@@ -261,14 +256,6 @@ def cmd_eig(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
 # ---------------------------------------------------------------------------
 # entry point
 
-_CATEGORY = {
-    ConfigurationError: "configuration",
-    ContractViolationError: "contract",
-    NumericalDomainError: "numerical",
-    DomainError: "domain",
-}
-
-
 def _headline(command: str, summary: dict) -> str | None:
     """The line printed before the summary JSON, if the command has one."""
     if command != "decay":
@@ -326,11 +313,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:
-        category = "internal"
-        for klass, name in _CATEGORY.items():
-            if isinstance(exc, klass):
-                category = name
-                break
+        category = getattr(exc, "category", "internal")
         print(json.dumps({"error": category, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG if category == "configuration" else EXIT_FAILURE

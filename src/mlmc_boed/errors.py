@@ -1,24 +1,23 @@
-"""Error taxonomy shared across the package."""
+"""Error taxonomy shared across the package.
+
+Each class names the ``category`` under which the command line reports it.
+"""
 
 
 class ContractViolationError(ValueError):
-    """An argument violates a documented precondition (e.g. dimension mismatch)."""
+    """An argument violates a documented precondition (e.g. dimension mismatch,
+    or a value outside the mathematical domain)."""
+
+    category = "contract"
 
 
 class NumericalDomainError(ArithmeticError):
-    """A computation left the representable domain (overflow, non-finite result).
+    """A computation left the representable domain (overflow, non-finite result)."""
 
-    Carries the offending inputs in ``context`` for post-mortem inspection.
-    """
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = context
-
-
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain (e.g. theta outside prior support)."""
+    category = "numerical"
 
 
 class ConfigurationError(ValueError):
     """A run configuration is invalid (detected before any computation starts)."""
+
+    category = "configuration"

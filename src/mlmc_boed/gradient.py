@@ -32,10 +32,11 @@ its chunks and evaluates them at once.  One likelihood call evaluates every
 sample's self term, at its own latent value, in the ``(n, 1)`` shape.  Each
 block makes one call on its fit rows as drawn, ``(rows, m0 * 2**l_min)``,
 and one segmented reduction forms every half-batch sum under its own max
-shift (inner averages are self-normalized, immune to underflow).  Every
-value depends only on its own sample's rows, so neither batch nor block
-boundaries change a bit, and each chunk's sums are still taken over its own
-samples, in its drawn order.
+shift (inner averages are self-normalized, immune to underflow).  A
+non-finite log-likelihood in any call stops the estimate, whatever the
+model (``_loglik_score``).  Every value depends only on its own sample's
+rows, so neither batch nor block boundaries change a bit, and each chunk's
+sums are still taken over its own samples, in its drawn order.
 
 The reduction reads inner rows only, and builds its segment indices from
 each sample's inner count and split flag alone.  A sample has one segment
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericalDomainError
 from .levels import LevelWeights
 from .model import Design, ProblemModel
 from .rng import CHUNK_SIZE, PHASE_GRADIENT, chunk_sizes, stream
@@ -191,6 +192,16 @@ def _plan(bins, m0, t):
     return plan
 
 
+def _loglik_score(model, design, theta, eps, theta_inner):
+    """``model.loglik_score``, refusing a non-finite log-likelihood: the
+    estimators are unbiased, with finite variance, only while every
+    per-sample variable is a finite number."""
+    log_rho, score = model.loglik_score(design, theta, eps, theta_inner)
+    if not np.isfinite(log_rho).all():
+        raise NumericalDomainError("non-finite log-likelihood")
+    return log_rho, score
+
+
 def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=True):
     """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
     the drawn order of the chunk's levels.
@@ -208,7 +219,7 @@ def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=
     theta, eps, theta_rows, eps_rows, inner, corr = (
         _JOINED(draws[0]) if len(draws) == 1
         else map(np.concatenate, zip(*map(_JOINED, draws))))
-    self_w, self_s = model.loglik_score(design, theta, eps, theta[:, None, :])
+    self_w, self_s = _loglik_score(model, design, theta, eps, theta[:, None, :])
     self_term = self_s.reshape(theta.shape[0], -1) if scored else self_w.reshape(-1)
     delta, psi = np.empty_like(self_term), np.empty_like(self_term)
     blocks = [(slice(None), slice(None))]
@@ -221,7 +232,7 @@ def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=
             blocks.append((slice(a, b), slice(rows[a], rows[b])))
             a = b
     for i, f in blocks:
-        log_rho, scores = model.loglik_score(design, theta_rows[f], eps_rows[f], inner[f])
+        log_rho, scores = _loglik_score(model, design, theta_rows[f], eps_rows[f], inner[f])
         log_w = log_rho.reshape(-1)
         log_w += corr[f].reshape(-1)              # the importance correction, in place
         scores = scores.reshape(log_w.size, -1) if scored else None

@@ -2,10 +2,12 @@
 
 Level ``l`` uses ``m0 * 2**l`` inner samples and is drawn with probability
 ``w_l`` proportional to ``2**(-tau * l)``.  The expected cost per correction
-sample is finite iff ``tau > 1``, which is enforced at construction.  An
-explicit ``w0`` override (used by the PK experiments) pins the level-0 mass
-and renormalizes the geometric tail to ``1 - w0``; ``w0 = 1`` is the point
-mass at level 0 under which the fixed-M nested estimators run.
+sample is finite iff ``tau > 1``, which is enforced at construction, as are
+``tau < 1024``, below which ``2**tau`` is a float, and ``m0 < 2**63``, since
+inner counts are int64.  An explicit ``w0`` override (used by the PK
+experiments) pins the level-0 mass and renormalizes the geometric tail to
+``1 - w0``; ``w0 = 1`` is the point mass at level 0 under which the fixed-M
+nested estimators run.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ class LevelWeights:
 
     def __post_init__(self):
         m0 = self.m0
-        if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)) or m0 < 1:
-            raise ConfigurationError("m0 must be a positive integer")
+        if isinstance(m0, bool) or not isinstance(m0, (int, np.integer)) \
+                or not 1 <= int(m0) < 2**63:
+            raise ConfigurationError("m0 must be a positive integer below 2**63")
         object.__setattr__(self, "m0", int(m0))   # np.uint64 would not shift int64
-        if not self.tau > 1.0:                 # NaN included
+        if not 1.0 < self.tau < 1024.0:        # NaN included
             raise ConfigurationError(
-                "tau must exceed 1 for finite expected cost (w_l ~ 2^(-tau l))"
+                "tau must exceed 1 for finite expected cost (w_l ~ 2^(-tau l)) "
+                "and lie below 1024, where 2^tau overflows"
             )
         if self.w0_override is not None and not (0.0 < self.w0_override <= 1.0):
             raise ConfigurationError("w0 override must lie in (0, 1]")

@@ -129,7 +129,8 @@ class ProblemModel:
         proposal fit, as consecutive equal rows, and the model evaluates each
         row as given.  The self evaluation at ``theta_inner = theta`` uses
         this same code path, in one call per batch of chunks
-        (``theta[:, None, :]``).
+        (``theta[:, None, :]``).  The model only computes: the estimators
+        refuse a non-finite ``log_rho`` with ``NumericalDomainError``.
         """
         raise NotImplementedError
 

@@ -15,9 +15,10 @@ The per-time likelihood is the full normal density
 ``N(y_j; gbar_j(theta'), gbar_j(theta')^2 sigma1^2 + sigma2^2)`` including the
 theta'-dependent normalizer.  It has one implementation,
 :meth:`PkProblem.loglik_score`, which returns the log-density together with
-its design score; :func:`pk_mean_response` is the one evaluation of the mean
-response and its derivatives behind the simulator, the likelihood and the
-Laplace fit.
+its design score.  The simulator and the likelihood evaluate the mean
+response and its time derivative with ``_mean_and_slope``; the Laplace fit
+takes the response and its latent-derivatives from
+:meth:`PkProblem.observation_derivs`.
 
 The response is ``D k_a / V`` times the divided difference
 ``phi = (exp(-k_e T) - exp(-k_a T)) / (k_a - k_e)``, and every derivative of
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalDomainError
+from .errors import ContractViolationError
 from .model import LOG_2PI, ProblemModel
 
 
@@ -52,7 +53,7 @@ class PkParams:
 
     def __post_init__(self):
         if self.dose <= 0 or self.prior_var <= 0 or self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise DomainError("dose and variances must be positive")
+            raise ContractViolationError("dose and variances must be positive")
 
 
 # sinh(x)/x = sum_n x^(2n) / (2n+1)!; through degree 10 the truncation error
@@ -164,7 +165,7 @@ def _rates(theta, times, dose):
     theta = np.asarray(theta, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if (times < 0).any():
-        raise DomainError("sampling times must be nonnegative")
+        raise ContractViolationError("sampling times must be nonnegative")
     a = theta[..., 0:1]
     u, w = np.exp(a), np.exp(theta[..., 1:2])
     return u, w, dose * np.exp(a - theta[..., 2:3]), times
@@ -177,54 +178,6 @@ def _mean_and_slope(theta, times, dose):
     value *= B
     d_time *= B
     return value, d_time
-
-
-def pk_mean_response(theta: np.ndarray, times: np.ndarray, dose: float = 400.0,
-                     second: bool = True):
-    """Mean concentration and its derivatives at each sampling time.
-
-    ``theta`` has shape ``(..., 3)`` in log-parameters; ``times`` has shape
-    ``(k,)``.  Returns ``(value, grad_theta, hess_theta)`` with shapes
-    ``(..., k)``, ``(..., k, 3)`` and ``(6, ..., k)``; all theta-derivatives
-    are taken with respect to the log-parameters (the time derivative is
-    ``_mean_and_slope``'s).  The Hessian is symmetric, so only its six
-    distinct entries are returned: the upper triangle row by row, ``(0, 0),
-    (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)``, each with the time axis last.
-    Without ``second`` the Hessian is not formed and ``None`` is returned in
-    its place.
-    """
-    u, w, B, times = _rates(theta, times, dose)
-    hess = out = None
-    if second:
-        hess = np.empty((6,) + np.broadcast_shapes(u.shape, times.shape))
-        out = (hess[0], hess[3], hess[1])
-    res = _phi_derivs(u, w, times, order=2 if second else 1, out=out)
-    value, up, wp = res[:3]
-    value *= B
-    up *= u                                # u phi_u
-    wp *= w                                # w phi_w
-    grad = np.empty(value.shape + (3,))
-    g_a = np.multiply(up, B, out=grad[..., 0])
-    g_a += value                           # B (phi + u phi_u)
-    g_e = np.multiply(wp, B, out=grad[..., 1])
-    np.negative(value, out=grad[..., 2])
-    if not second:
-        return value, grad, None
-    h_aa, h_ee, h_ae = res[3:]             # phi_uu, phi_ww, phi_uw, in hess
-    h_aa *= u * u                          # B (phi + 3 u phi_u + u^2 phi_uu)
-    h_aa += 3 * up
-    h_aa *= B
-    h_aa += value
-    h_ae *= u * w                          # B (w phi_w + u w phi_uw)
-    h_ae += wp
-    h_ae *= B
-    h_ee *= w * w                          # B (w phi_w + w^2 phi_ww)
-    h_ee += wp
-    h_ee *= B
-    np.negative(g_a, out=hess[2])
-    np.negative(g_e, out=hess[4])
-    hess[5] = value
-    return value, grad, hess
 
 
 class PkProblem(ProblemModel):
@@ -308,20 +261,54 @@ class PkProblem(ProblemModel):
         score -= 1.0
         score *= half_dlogvar
         score -= r_dr
-        if not np.all(np.isfinite(log_rho)):
-            raise NumericalDomainError(
-                "non-finite PK log-likelihood", design=design.values, theta=theta
-            )
         return log_rho, score
 
     # -- Laplace-fit hooks ----------------------------------------------------
     def observation_derivs(self, design, theta, second: bool):
-        """Mean observation and its latent-derivatives, ``(value, grad, hess)``.
+        """Mean concentration at each sampling time and its latent-derivatives,
+        ``(value, grad, hess)``.
 
-        Shapes ``(n, t)``, ``(n, t, 3)`` and the packed ``(6, n, t)`` of
-        :func:`pk_mean_response` (``None`` without ``second``).
+        ``theta`` has shape ``(..., 3)`` in log-parameters and the design
+        holds ``k`` times.  The shapes are ``(..., k)``, ``(..., k, 3)`` and
+        ``(6, ..., k)``; all theta-derivatives are taken with respect to the
+        log-parameters (the time derivative is ``_mean_and_slope``'s).  The
+        Hessian is symmetric, so only its six distinct entries are returned:
+        the upper triangle row by row, ``(0, 0), (0, 1), (0, 2), (1, 1), (1,
+        2), (2, 2)``, each with the time axis last.  Without ``second`` the
+        Hessian is not formed and ``None`` is returned in its place.
         """
-        return pk_mean_response(theta, design.values, self.params.dose, second)
+        u, w, B, times = _rates(theta, design.values, self.params.dose)
+        hess = out = None
+        if second:
+            hess = np.empty((6,) + np.broadcast_shapes(u.shape, times.shape))
+            out = (hess[0], hess[3], hess[1])
+        res = _phi_derivs(u, w, times, order=2 if second else 1, out=out)
+        value, up, wp = res[:3]
+        value *= B
+        up *= u                                # u phi_u
+        wp *= w                                # w phi_w
+        grad = np.empty(value.shape + (3,))
+        g_a = np.multiply(up, B, out=grad[..., 0])
+        g_a += value                           # B (phi + u phi_u)
+        g_e = np.multiply(wp, B, out=grad[..., 1])
+        np.negative(value, out=grad[..., 2])
+        if not second:
+            return value, grad, None
+        h_aa, h_ee, h_ae = res[3:]             # phi_uu, phi_ww, phi_uw, in hess
+        h_aa *= u * u                          # B (phi + 3 u phi_u + u^2 phi_uu)
+        h_aa += 3 * up
+        h_aa *= B
+        h_aa += value
+        h_ae *= u * w                          # B (w phi_w + u w phi_uw)
+        h_ae += wp
+        h_ae *= B
+        h_ee *= w * w                          # B (w phi_w + w^2 phi_ww)
+        h_ee += wp
+        h_ee *= B
+        np.negative(g_a, out=hess[2])
+        np.negative(g_e, out=hess[4])
+        hess[5] = value
+        return value, grad, hess
 
     def observation_variance(self, value):
         """Per-component observation variance as a function of the mean."""

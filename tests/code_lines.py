@@ -7,9 +7,12 @@ row per module, in name order, then the totals: its lines as ``wc -l``
 counts them (newline characters) and its code lines, the lines on which
 the tokenizer finds a token other than a comment, a docstring or layout (a
 token spanning several lines counts on each).  A docstring is a string
-that is a statement of its own.
+that is a statement of its own.  A last line gives the number of exported
+names, the length of ``__all__`` in ``__init__.py``, which is parsed, not
+imported, so that any tree can be counted.
 """
 
+import ast
 import io
 import sys
 import tokenize
@@ -34,6 +37,14 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def exported_names(package: Path) -> int:
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def main(argv) -> int:
     package = Path(argv[0]) if argv else PACKAGE
     rows = []
@@ -44,6 +55,7 @@ def main(argv) -> int:
     print(f"{'lines':>6} {'code':>6}  module")
     for lines, code, name in rows:
         print(f"{lines:>6} {code:>6}  {name}")
+    print(f"{exported_names(package):>6} exported names")
     return 0
 
 

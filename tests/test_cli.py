@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,16 +18,27 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def run_cli_quietly(args, capsys):
+    """``run_cli``, asserting that the run wrote nothing to stderr and raised
+    no warning, which outside the test runner goes to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(args)
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    return rc
+
+
 # Flags that keep a run of each subcommand small.
 _SMALL_RUN = {"decay": ["--levels", "2", "--samples-per-level", "4"],
               "optimize": ["--iters", "1", "--n-outer", "8", "--eig-every", "1"],
               "eig": ["--n-outer", "8"]}
 
 
-def test_decay_outputs(tmp_path):
-    rc = run_cli(["decay", "--problem", "testcase", "--levels", "4",
-                  "--samples-per-level", "200", "--seed", "1",
-                  "--out", tmp_path, "--threads", "2"])
+def test_decay_outputs(tmp_path, capsys):
+    rc = run_cli_quietly(["decay", "--problem", "testcase", "--levels", "4",
+                          "--samples-per-level", "200", "--seed", "1",
+                          "--out", tmp_path, "--threads", "2"], capsys)
     assert rc == 0
     lines = (tmp_path / "decay.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "level,mean_sq_psi,mean_sq_delta,n"
@@ -58,10 +71,10 @@ def test_undefined_beta_hat_is_json_null(tmp_path, capsys):
         assert json.loads(text, parse_constant=strict)["beta_hat"] is None
 
 
-def test_optimize_trace_row_count_and_summary(tmp_path):
-    rc = run_cli(["optimize", "--problem", "testcase", "--iters", "30",
-                  "--n-outer", "64", "--eig-every", "10", "--seed", "2",
-                  "--out", tmp_path])
+def test_optimize_trace_row_count_and_summary(tmp_path, capsys):
+    rc = run_cli_quietly(["optimize", "--problem", "testcase", "--iters", "30",
+                          "--n-outer", "64", "--eig-every", "10", "--seed", "2",
+                          "--out", tmp_path], capsys)
     assert rc == 0
     lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 32  # header + t = 0..30
@@ -76,14 +89,41 @@ def test_optimize_trace_row_count_and_summary(tmp_path):
     assert len(with_eig) == 4  # t = 0, 10, 20, 30
 
 
-def test_eig_json(tmp_path):
-    rc = run_cli(["eig", "--problem", "testcase", "--xi0", "1.0482",
-                  "--n-outer", "4000", "--seed", "3", "--out", tmp_path])
+def test_eig_json(tmp_path, capsys):
+    rc = run_cli_quietly(["eig", "--problem", "testcase", "--xi0", "1.0482",
+                          "--n-outer", "4000", "--seed", "3", "--out", tmp_path], capsys)
     assert rc == 0
     out = json.loads((tmp_path / "eig.json").read_text())
     assert out["design"] == [1.0482]
     assert out["n_outer"] == 4000
     assert 0.0 < out["eig"] < 1.5
+
+
+def test_optimize_at_the_largest_tau_runs_quietly(tmp_path, capsys):
+    # 2^tau is a float just below 1024, the bound of the level law.
+    rc = run_cli_quietly(["optimize", "--problem", "testcase", "--tau", "1023.9",
+                          "--w0", "0.5", "--iters", "5", "--n-outer", "64",
+                          "--eig-every", "5", "--seed", "2", "--out", tmp_path], capsys)
+    assert rc == 0
+    summary = json.loads((tmp_path / "optimize.json").read_text())
+    assert all(map(math.isfinite, summary["final_design"])) and summary["total_cost"] > 0
+
+
+@pytest.mark.parametrize("flags", [["--tau", "1024", "--w0", "0.5"], ["--tau", "1075"],
+                                   ["--tau", "1e308"], ["--m0", str(2**70)],
+                                   ["--estimator", "stdmc", "--inner-m", str(2**70)]])
+def test_level_law_beyond_the_float_or_int64_range_is_a_configuration_error(
+        tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["eig", "--problem", "testcase", "--n-outer", "1", *flags, "--out", out])
+    assert rc == 2
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "configuration"
+    assert not out.exists()
 
 
 def test_same_seed_byte_identical_across_threads(tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import code_lines
+import mlmc_boed
 
 ROW = re.compile(r" *(\d+) +(\d+)  (\S+)")
 
@@ -13,7 +14,8 @@ ROW = re.compile(r" *(\d+) +(\d+)  (\S+)")
 def test_code_lines_prints_one_row_per_module_and_the_totals():
     run = subprocess.run([sys.executable, code_lines.__file__], capture_output=True, text=True,
                          check=True, timeout=60)
-    header, *rows = run.stdout.splitlines()
+    header, *rows, exports = run.stdout.splitlines()
+    assert exports.split() == [str(len(mlmc_boed.__all__)), "exported", "names"]
     assert header.split() == ["lines", "code", "module"]
     matches = [ROW.fullmatch(row) for row in rows]
     assert all(matches), rows

@@ -12,6 +12,7 @@ from mlmc_boed import (
     Design,
     LaplaceProposalFactory,
     LevelWeights,
+    NumericalDomainError,
     PkProblem,
     PriorProposalFactory,
     ProblemModel,
@@ -349,6 +350,33 @@ def test_numpy_integer_m0_gives_the_bytes_of_an_int():
     for integer in (np.uint64, np.int32):
         assert type(LevelWeights(m0=integer(2)).m0) is int
         _assert_same_bytes(run(integer(2), integer(8)), want)
+
+
+class NanRowModel(FlatLikelihoodModel):
+    """A model with no finiteness check of its own whose log-likelihood is
+    NaN in the first row of every self call (``theta_inner`` a view of
+    ``theta``) or of every inner call."""
+
+    def __init__(self, call):
+        self.call = call
+
+    def loglik_score(self, design, theta, eps, theta_inner):
+        log_rho, score = super().loglik_score(design, theta, eps, theta_inner)
+        if np.shares_memory(theta, theta_inner) == (self.call == "self"):
+            log_rho[0] = np.nan
+        return log_rho, score
+
+
+@pytest.mark.parametrize("call", ["self", "inner"])
+def test_a_non_finite_log_likelihood_of_any_model_stops_every_estimator(call):
+    model, design, factory = NanRowModel(call), Design(np.array([1.5])), PriorProposalFactory()
+    weights = LevelWeights(m0=2, tau=1.5)
+    runs = [lambda: unbiased_gradient(model, design, 50, weights, factory, 1),
+            lambda: eig_unbiased_mlmc(model, design, 50, weights, factory, 2),
+            lambda: decay_study(model, design, 3, 8, weights, factory, 3)]
+    for run in runs:
+        with pytest.raises(NumericalDomainError, match="non-finite log-likelihood"):
+            run()
 
 
 @pytest.mark.parametrize("estimator", [eig_nested])

@@ -1,5 +1,7 @@
 """Tests of the randomized-level distribution and its cost accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,9 +85,22 @@ def test_invalid_parameters_rejected():
     for kwargs in (
         {"tau": 1.0}, {"tau": 0.5}, {"m0": 0}, {"m0": 1.5}, {"m0": 2.0}, {"m0": True},
         {"m0": "2"}, {"w0_override": 0.0}, {"w0_override": 1.5}, {"tau": float("nan")},
+        # From tau = 1024, 2^tau overflows; from 2^63, m0 is no int64.
+        {"tau": 1024.0, "w0_override": 0.5}, {"tau": 1075}, {"tau": 1e308},
+        {"m0": 2**63}, {"m0": np.uint64(2**63)},
     ):
         with pytest.raises(ConfigurationError):
             LevelWeights(**kwargs)
+
+
+def test_largest_tau_and_m0_are_accepted():
+    assert LevelWeights(m0=2**63 - 1).m0 == 2**63 - 1
+    assert LevelWeights(m0=np.uint64(2**63 - 1)).m0 == 2**63 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = LevelWeights(tau=1023.9, w0_override=0.5)
+        assert np.isfinite(w.weight(np.arange(4))).all()
+        assert w.sample_levels(np.random.default_rng(0), 100).max() >= 1
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -5,8 +5,8 @@ import pytest
 from laplace_reference import full_hessian
 from scipy.stats import norm
 
-from mlmc_boed import Design, DomainError, PkParams, PkProblem, default_config
-from mlmc_boed.pk import _mean_and_slope, pk_mean_response
+from mlmc_boed import ContractViolationError, Design, PkParams, PkProblem, default_config
+from mlmc_boed.pk import _mean_and_slope
 
 PRIOR_MEANS = np.array([0.0, np.log(0.1), np.log(20.0)])
 
@@ -14,6 +14,12 @@ PRIOR_MEANS = np.array([0.0, np.log(0.1), np.log(20.0)])
 @pytest.fixture
 def model():
     return PkProblem()
+
+
+def mean_response(theta, times):
+    """``(value, grad, hess)`` of the mean response at ``times``, from the
+    Laplace hook."""
+    return PkProblem().observation_derivs(Design(times), theta, True)
 
 
 def _analytic_gbar(theta, times, dose=400.0):
@@ -34,7 +40,7 @@ def test_mean_response_matches_naive_formula():
     rng = np.random.default_rng(0)
     theta = PRIOR_MEANS + 0.4 * rng.standard_normal((20, 3))
     times = np.array([0.5, 2.0, 7.0, 23.0])
-    val, _, _ = pk_mean_response(theta, times)
+    val, _, _ = mean_response(theta, times)
     for i in range(20):
         assert np.allclose(val[i], _analytic_gbar(theta[i], times), rtol=1e-12)
 
@@ -43,21 +49,21 @@ def test_mean_response_smooth_through_equal_rates():
     # confluent limit: gbar -> D ka T exp(-ka T) / V
     theta = np.array([[np.log(0.1), np.log(0.1), np.log(20.0)]])
     times = np.array([1.0, 5.0])
-    val, grad, hess = pk_mean_response(theta, times)
+    val, grad, hess = mean_response(theta, times)
     expected = 400.0 * 0.1 * times * np.exp(-0.1 * times) / 20.0
     assert np.allclose(val[0], expected, rtol=1e-12)
     assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
     # approach from nearby separated rates agrees
     theta2 = np.array([[np.log(0.1) + 1e-9, np.log(0.1), np.log(20.0)]])
-    val2, grad2, _ = pk_mean_response(theta2, times)
+    val2, grad2, _ = mean_response(theta2, times)
     assert np.allclose(val[0], val2[0], rtol=1e-7)
     assert np.allclose(grad[0], grad2[0], rtol=1e-6)
 
 
 def test_mean_response_extreme_rates_do_not_overflow():
     theta = np.array([[8.0, -6.0, 3.0]])  # ka = e^8, ke = e^-6
-    val, grad, hess = pk_mean_response(theta, np.array([1.0, 24.0]))
+    val, grad, hess = mean_response(theta, np.array([1.0, 24.0]))
     assert np.all(np.isfinite(val)) and np.all(np.isfinite(grad))
     assert hess.shape == (6,) + val.shape
     assert np.all(np.isfinite(hess))
@@ -67,7 +73,7 @@ def test_mean_response_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     theta = PRIOR_MEANS + 0.3 * rng.standard_normal((6, 3))
     times = np.array([0.5, 3.0, 12.0])
-    val, grad, packed = pk_mean_response(theta, times)
+    val, grad, packed = mean_response(theta, times)
     assert packed.shape == (6, 6, 3)  # (component, sample, time)
     hess = full_hessian(packed)
     e = 1e-6
@@ -75,8 +81,8 @@ def test_mean_response_derivatives_match_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[:, j] += e
         tm[:, j] -= e
-        vp, gp, _ = pk_mean_response(tp, times)
-        vm, gm, _ = pk_mean_response(tm, times)
+        vp, gp, _ = mean_response(tp, times)
+        vm, gm, _ = mean_response(tm, times)
         assert np.allclose(grad[..., j], (vp - vm) / (2 * e), rtol=1e-5, atol=1e-8)
         assert np.allclose(hess[..., j, :], (gp - gm) / (2 * e), rtol=1e-4, atol=1e-6)
     # The time derivative is the slope that simulation and the likelihood use.
@@ -88,8 +94,8 @@ def test_mean_response_derivatives_match_finite_differences():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(DomainError):
-        pk_mean_response(PRIOR_MEANS[None, :], np.array([-1.0]))
+    with pytest.raises(ContractViolationError):
+        mean_response(PRIOR_MEANS[None, :], np.array([-1.0]))
 
 
 def test_prior_entropy(model):
@@ -122,7 +128,7 @@ def test_simulate_mixes_noise_per_time(model):
     eps[0, 0] = 0.5   # multiplicative on time 1
     eps[0, 3] = 2.0   # additive on time 2
     y = model.simulate(design, theta, eps)
-    gbar, _, _ = pk_mean_response(theta, design.values)
+    gbar, _, _ = mean_response(theta, design.values)
     assert y[0, 0] == pytest.approx(gbar[0, 0] * 1.5)
     assert y[0, 1] == pytest.approx(gbar[0, 1] + 2.0)
     assert np.allclose(y[0, 2:], gbar[0, 2:])
@@ -137,7 +143,7 @@ def test_loglik_matches_normal_density(model):
     y = model.simulate(design, theta, eps)
     log_rho, _ = model.loglik_score(design, theta, eps, inner)
     p = model.params
-    gbar_in, _, _ = pk_mean_response(inner, design.values)
+    gbar_in, _, _ = mean_response(inner, design.values)
     sd = np.sqrt(p.sigma1_sq * gbar_in**2 + p.sigma2_sq)
     ref = norm.logpdf(y[:, None, :], loc=gbar_in, scale=sd).sum(axis=-1)
     assert np.allclose(log_rho, ref, rtol=1e-12)

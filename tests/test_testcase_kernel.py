@@ -32,9 +32,7 @@ def _loglik_score_reference(self, design, theta, eps, theta_inner):
     per_channel = -cp * lt - cp * diff * resid / var
     score = per_channel.sum(axis=-1, keepdims=True)  # d = 1
     if not np.all(np.isfinite(log_rho)):
-        raise NumericalDomainError(
-            "non-finite log-likelihood", design=design.values, theta=theta, eps=eps
-        )
+        raise NumericalDomainError("non-finite log-likelihood")
     return log_rho, score
 
 
@@ -88,14 +86,17 @@ def test_inputs_are_left_unchanged():
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_non_finite_entry_raises(bad):
+    # The kernel only computes: it returns the non-finite entry, and the
+    # estimators raise (tests/test_gradient.py).
     model = TestCaseProblem()
     rng = np.random.default_rng(4)
     theta, eps = model.sample_prior(rng, 6), model.sample_noise(rng, 6)
     theta_inner = model.sample_prior(rng, 18).reshape(6, 3, 2)
     theta_inner[2, 1, 1] = bad
-    with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(NumericalDomainError):
-        model.loglik_score(Design(np.array([1.5])), theta, eps, theta_inner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rho, _ = model.loglik_score(Design(np.array([1.5])), theta, eps, theta_inner)
+    assert np.isfinite(log_rho).sum() == log_rho.size - 1
+    assert not np.isfinite(log_rho[2, 1])
 
 
 @pytest.mark.parametrize("model", MODELS, ids=["default", "scaled"])
