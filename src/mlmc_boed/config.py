@@ -114,8 +114,11 @@ class RunConfig:
         for name in ("amsgrad_beta1", "amsgrad_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must lie in [0, 1)")
-        if self.inner_m >= 2**63:                  # the m0 of "stdmc"'s point mass
-            raise ConfigurationError("inner_m must lie below 2**63")
+        # inner_m is the m0 of "stdmc"'s point mass; the sample counts index
+        # arrays and chunk lists.
+        for name in ("inner_m", "n_outer", "eig_n_outer"):
+            if getattr(self, name) >= 2**63:
+                raise ConfigurationError(f"{name} must lie below 2**63")
         # Validate m0/tau/w0, the box and the initial design eagerly.
         LevelWeights(m0=self.m0, tau=self.tau, w0_override=self.w0)
         self.make_design()

@@ -69,11 +69,12 @@ def check_study(levels: int, samples_per_level: int, m0: int):
         raise ContractViolationError("decay study needs at least 2 levels")
     if samples_per_level < 1:
         raise ContractViolationError("decay study needs at least 1 sample per level")
-    deepest = m0 * 2 ** (levels - 1)
-    if deepest > CHUNK_INNER:
+    # m0 * 2**(levels - 1) > CHUNK_INNER, by a shift: the count itself may
+    # have more digits than memory holds.
+    if m0 > CHUNK_INNER >> (levels - 1):
         raise ContractViolationError(
-            f"decay level {levels - 1} needs {deepest} inner samples per outer sample, "
-            f"more than the {CHUNK_INNER} of one chunk; lower levels or m0")
+            f"decay level {levels - 1} needs more inner samples per outer sample than "
+            f"the {CHUNK_INNER} of one chunk; lower levels or m0")
     # A level has at least as many chunks as the one below it, so the level
     # below the deepest has the most of any level that a next one follows.
     chunks = -(-samples_per_level // _chunk_cap(m0, levels - 2))
@@ -108,17 +109,18 @@ def decay_study(
     check_study(levels, samples_per_level, weights.m0)
 
     def row(lvl):
-        def terms(drawn, _, delta, psi, __):
-            return float((delta**2).sum()), float((psi**2).sum()), drawn.size
+        def terms(_, delta, psi, __):
+            return float((delta**2).sum()), float((psi**2).sum())
 
         # Chunk the outer samples so high levels stay within memory.
-        sq_delta, sq_psi, done = _run_chunks(
+        sq_delta, sq_psi = _run_chunks(
             samples_per_level, seed, PHASE_DECAY, lvl * LEVEL_STREAMS, threads, model=model,
             design=design, proposal_factory=proposal_factory, m0=weights.m0,
             draw_levels=lambda rng, n: np.full(n, lvl), terms=terms, antithetic=antithetic,
             chunk=_chunk_cap(weights.m0, lvl),
         )
-        return DecayRow(lvl, sq_psi / done, sq_delta / done, done)
+        return DecayRow(lvl, sq_psi / samples_per_level, sq_delta / samples_per_level,
+                        samples_per_level)
 
     rows = [row(lvl) for lvl in range(levels)]
     fit_range = (1, levels - 1)

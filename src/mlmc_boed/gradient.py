@@ -12,12 +12,15 @@ chunks of outer samples, their batches (below) on ``threads`` workers.  A
 chunk is the unit of randomness: it owns a deterministic RNG sub-stream, so
 results are bit-reproducible for a fixed master seed no matter how many
 workers are used.  A chunk draws its levels first (a point mass draws
-nothing), which are counted once, then all its outer samples sorted by
-level, then makes one proposal fit and one inner draw.  The fit
+nothing), which are kept only as their counts, then all its outer samples
+in level order, then makes one proposal fit and one inner draw.  The fit
 takes a level-``l`` sample as ``2**(l - l_min)`` equal rows, ``l_min``
 being the chunk's lowest level, and the draw gives each fit row ``m0 *
 2**l_min`` inner samples, so that a sample's rows hold its ``m0 * 2**l``
-inner samples, first half first.
+inner samples, first half first.  Every per-sample array stays in level
+order from the draw to the sums: the estimators average i.i.d. pairs of
+level and outer sample, so the order in which a chunk's samples are added
+up means nothing, and a chunk is described by its level counts alone.
 
 A batch is the unit of evaluation, and one budget of ``_BLOCK_ENTRIES``
 likelihood entries (fit rows times width times ``model.t``) bounds every
@@ -36,16 +39,15 @@ shift (inner averages are self-normalized, immune to underflow).  A
 non-finite log-likelihood in any call stops the estimate, whatever the
 model (``_loglik_score``).  Every value depends only on its own sample's
 rows, so neither batch nor block boundaries change a bit, and each chunk's
-sums are still taken over its own samples, in its drawn order.
+sums are still taken over its own samples, in level order: its variables
+are a slice of its batch's.
 
 The reduction reads inner rows only, and builds its segment indices from
 each sample's inner count and split flag alone.  A sample has one segment
 per half of its inner rows, or one for its whole batch if it is not split
 (level 0).  So the segment lengths are one repeat of the per-sample segment
 sizes, the starts are their running sum, and each sample's first segment
-is the running sum of its segment counts.  The closing scatter puts both
-variables back in each chunk's drawn order, sorting its levels as one-byte
-keys.
+is the running sum of its segment counts.
 """
 
 from __future__ import annotations
@@ -134,14 +136,16 @@ def _reduce(log_w, scores, self_term, m, split, antithetic):
 # test-case `decay` level of 500 samples from level 7 on.
 _BLOCK_ENTRIES = 2**16
 
+# Float64 values that one array can hold, numpy indexing at most
+# ``np.iinfo(np.intp).max`` bytes.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
 
 class _Draw(NamedTuple):
-    """Every draw of one chunk.  ``levels`` is in drawn order; ``theta`` and
-    ``eps`` are the outer samples in level order, ``theta_rows`` and
-    ``eps_rows`` their fit rows, and ``inner`` and ``corr`` the inner draw
-    and its importance correction."""
+    """Every draw of one chunk: ``theta`` and ``eps`` are the outer samples
+    in level order, ``theta_rows`` and ``eps_rows`` their fit rows, and
+    ``inner`` and ``corr`` the inner draw and its importance correction."""
 
-    levels: np.ndarray
     theta: np.ndarray
     eps: np.ndarray
     theta_rows: np.ndarray
@@ -155,21 +159,21 @@ class _Draw(NamedTuple):
 _JOINED = attrgetter("theta", "eps", "theta_rows", "eps_rows", "inner", "corr")
 
 
-def _draw_chunk(model, design, proposal_factory, rng, levels, m) -> _Draw:
-    """The draws of one chunk from its stream ``rng``, which has drawn
-    ``levels``, whose samples have ``m`` inner samples each in level order
-    (``_plan``): the outer samples, one proposal fit on their fit rows and
-    one inner draw (module docstring)."""
-    theta = model.sample_prior(rng, levels.size)
-    eps = model.sample_noise(rng, levels.size)
+def _draw_chunk(model, design, proposal_factory, rng, m) -> _Draw:
+    """The draws of one chunk from its stream ``rng``, which has drawn the
+    chunk's levels, whose samples have ``m`` inner samples each in level
+    order (``_plan``): the outer samples, one proposal fit on their fit rows
+    and one inner draw (module docstring)."""
+    theta = model.sample_prior(rng, m.size)
+    eps = model.sample_noise(rng, m.size)
     y = model.simulate(design, theta, eps)
     rows = [a.repeat(m // m[0], axis=0) for a in (theta, eps, y)]
     fitted = proposal_factory.fit(model, design, *rows)
     inner, corr = fitted.sample_inner(rng, int(m[0]))
-    return _Draw(levels, theta, eps, rows[0], rows[1], inner, corr, fitted.n_fallback)
+    return _Draw(theta, eps, rows[0], rows[1], inner, corr, fitted.n_fallback)
 
 
-def _plan(bins, m0, t):
+def _plan(bins, m0, model):
     """The batches of the chunks whose levels are counted in ``bins``, one
     ``np.bincount`` per chunk, planned before any draw.
 
@@ -177,12 +181,19 @@ def _plan(bins, m0, t):
     the inner samples of each of its samples, in level order.  The chunks
     are a run of consecutive indices that share the fit-row width ``m[0] =
     m0 * 2**l_min`` and hold at most ``_BLOCK_ENTRIES`` likelihood entries
-    together, or one chunk with more.
+    together, or one chunk with more.  A chunk whose inner draw, ``m.sum() *
+    model.s`` values, no array can hold raises ``NumericalDomainError``.
     """
     plan, width, entries = [], 0, 0
     for i, b in enumerate(bins):
+        # Counted in Python ints, so that no int64 wraps before the check.
+        inner = m0 * sum(c << l for l, c in enumerate(b.tolist()))
+        if inner * model.s > _MAX_VALUES:
+            raise NumericalDomainError(
+                f"a chunk's inner draw of {inner} samples of {model.s} values each is "
+                f"more than one array can hold")
         m = (m0 << np.arange(b.size)).repeat(b)
-        n = int(m.sum()) * t
+        n = inner * model.t
         if plan and m[0] == width and entries + n <= _BLOCK_ENTRIES:
             entries += n
             plan[-1].append((i, m))
@@ -204,7 +215,7 @@ def _loglik_score(model, design, theta, eps, theta_inner):
 
 def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=True):
     """``(delta, psi, n_fallback)`` of each drawn chunk of one batch, each in
-    the drawn order of the chunk's levels.
+    the chunk's level order: slices of the batch's arrays.
 
     ``m`` and ``split`` give each of the batch's samples, in level order
     per chunk, its inner samples, ``m0 * 2**l`` at level ``l``, and whether
@@ -239,13 +250,8 @@ def _batch_variables(model, design, draws, m, split, *, scored=True, antithetic=
         delta[i], psi[i] = _reduce(log_w, scores, self_term[i], m[i], split[i], antithetic)
     out, a = [], 0
     for d in draws:
-        b = a + d.levels.size
-        # Back from level order to the order of ``levels`` (a stable sort of
-        # one-byte keys, levels being at most ``MAX_LEVEL``).
-        order = np.argsort(d.levels.astype(np.uint8), kind="stable")
-        delta_back, psi_back = np.empty_like(delta[a:b]), np.empty_like(psi[a:b])
-        delta_back[order], psi_back[order] = delta[a:b], psi[a:b]
-        out.append((delta_back, psi_back, d.n_fallback))
+        b = a + d.theta.shape[0]
+        out.append((delta[a:b], psi[a:b], d.n_fallback))
         a = b
     return out
 
@@ -254,32 +260,31 @@ def _run_chunks(
     n_outer, seed, phase, base_index, threads, *, model, design, proposal_factory, m0,
     draw_levels, terms, scored=True, antithetic=True, chunk=CHUNK_SIZE,
 ):
-    """Termwise sums of ``terms(levels, bins, delta, psi, n_fallback)`` over
-    the chunks of ``n_outer`` outer samples, in chunk order; ``bins`` is
-    ``np.bincount(levels)``, counted once per chunk.
+    """Termwise sums of ``terms(bins, delta, psi, n_fallback)`` over the
+    chunks of ``n_outer`` outer samples, in chunk order; ``bins`` is the
+    ``np.bincount`` of the chunk's levels, and ``delta`` and ``psi`` hold its
+    samples in level order.
 
     Chunk ``i`` draws from sub-stream ``(seed, phase, base_index + i)``:
-    first its levels, ``draw_levels(rng, n)``, then the rest of its draws
-    (``_draw_chunk``).  Every chunk draws its levels first, which plan the
-    batches (``_plan``); each batch then draws its chunks and evaluates them
-    at once (``_batch_variables``).  Neither the batches nor ``threads``, the
-    number of batches run at once, change a draw, so the sums depend on
-    neither.
+    first its levels, ``draw_levels(rng, n)``, which are kept only as their
+    counts, then the rest of its draws (``_draw_chunk``).  Every chunk draws
+    its levels first, which plan the batches (``_plan``); each batch then
+    draws its chunks and evaluates them at once (``_batch_variables``).
+    Neither the batches nor ``threads``, the number of batches run at once,
+    change a draw, so the sums depend on neither.
     """
     sizes = chunk_sizes(n_outer, chunk)
     rngs = [stream(seed, phase, base_index + i) for i in range(len(sizes))]
-    levels = [draw_levels(rng, n) for rng, n in zip(rngs, sizes)]
-    bins = [np.bincount(lv) for lv in levels]
+    bins = [np.bincount(draw_levels(rng, n)) for rng, n in zip(rngs, sizes)]
 
     def work(batch):
-        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], levels[i], m)
-                 for i, m in batch]
+        draws = [_draw_chunk(model, design, proposal_factory, rngs[i], m) for i, m in batch]
         m = batch[0][1] if len(batch) == 1 else np.concatenate([m for _, m in batch])
         variables = _batch_variables(model, design, draws, m, m > m0, scored=scored,
                                      antithetic=antithetic)
-        return [terms(levels[i], bins[i], *v) for (i, _), v in zip(batch, variables)]
+        return [terms(bins[i], *v) for (i, _), v in zip(batch, variables)]
 
-    batches = _plan(bins, m0, model.t)
+    batches = _plan(bins, m0, model)
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, batches))
@@ -302,12 +307,13 @@ def _debiased_sums(
     if n_outer < 1:
         raise ContractViolationError("n_outer must be at least 1")
 
-    def terms(levels, bins, var, _, n_fallback):
-        # w_l and the inner cost once per level up to the chunk's highest.
+    def terms(bins, var, _, n_fallback):
+        # w_l and the inner cost once per level up to the chunk's highest;
+        # ``var`` is in level order.
         lv = np.arange(bins.size)
-        w = weights.weight(lv)[levels]
+        w = weights.weight(lv).repeat(bins)
         contrib = var / (w[:, None] if scored else w)
-        sq_norm = (contrib**2).reshape(levels.size, -1).sum(axis=1)
+        sq_norm = (contrib**2).reshape(w.size, -1).sum(axis=1)
         cost = int(weights.inner_samples(lv) @ bins)
         return contrib.sum(axis=0), sq_norm.sum(), cost, n_fallback
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -123,6 +124,48 @@ def test_level_law_beyond_the_float_or_int64_range_is_a_configuration_error(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "configuration"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--m0", str(2**62), "--seed", "3"],
+                                   ["--estimator", "stdmc", "--inner-m", str(2**62)]])
+def test_an_inner_draw_no_array_can_hold_is_a_numerical_error(tmp_path, capsys, flags):
+    # A level-l sample of m0 2**62 draws 2**(62 + l) test-case latent pairs,
+    # more float64 values than numpy can index; the planner refuses the
+    # chunk before its draw (at level 1 the int64 inner count would wrap).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["eig", "--problem", "testcase", "--n-outer", "1", *flags,
+                      "--out", tmp_path])
+    assert rc == 1
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numerical"
+
+
+@pytest.mark.parametrize("command,flags,document", [
+    ("eig", ["--n-outer", str(10**30)], None),
+    ("eig", ["--n-outer", str(2**63)], None),
+    ("optimize", ["--iters", "2"], {"eig_n_outer": 10**30}),
+])
+def test_sample_counts_past_int64_are_a_configuration_error(
+        tmp_path, capsys, monkeypatch, command, flags, document):
+    from mlmc_boed import cli
+
+    def reached(*args, **kwargs):
+        raise AssertionError("an estimator was called")
+
+    monkeypatch.setattr(cli, "unbiased_gradient", reached)
+    monkeypatch.setattr(cli, "eig_unbiased_mlmc", reached)
+    if document is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        flags = [*flags, "--config", cfg_path]
+    out = tmp_path / "out"
+    rc = run_cli([command, *flags, "--out", out])
+    assert rc == 2
+    assert "must lie below 2**63" in _single_configuration_error(capsys)
     assert not out.exists()
 
 
@@ -538,6 +581,20 @@ def test_decay_levels_past_the_chunk_cap_are_a_configuration_error(
         assert rc == 2
         assert "inner samples" in _single_configuration_error(capsys)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", [100_000, 10**12])
+def test_decay_levels_far_past_the_chunk_cap_are_refused_at_once(tmp_path, capsys, levels):
+    # The check compares by a shift: 2**(levels - 1) itself would have more
+    # digits than a string may hold, or than memory does.
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = run_cli(["decay", "--levels", levels, "--samples-per-level", "1", "--out", out])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    message = _single_configuration_error(capsys)
+    assert f"decay level {levels - 1} needs more inner samples" in message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples,reached", [("200001", False), ("200000", True)])

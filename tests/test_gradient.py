@@ -402,10 +402,10 @@ BUDGETS = (1, 300, 2**40)
 
 
 def _chunk_variables(model, design, factory, rng, levels, m0, **kw):
-    """``(delta, psi, n_fallback)`` of one chunk, drawn from ``rng`` after
-    its ``levels`` and evaluated as a batch of its own."""
-    [[(_, m)]] = _plan([np.bincount(levels)], m0, model.t)
-    draw = _draw_chunk(model, design, factory, rng, levels, m)
+    """``(delta, psi, n_fallback)`` of one chunk, in level order, drawn from
+    ``rng`` after its ``levels`` and evaluated as a batch of its own."""
+    [[(_, m)]] = _plan([np.bincount(levels)], m0, model)
+    draw = _draw_chunk(model, design, factory, rng, m)
     return _batch_variables(model, design, [draw], m, m > m0, **kw)[0]
 
 
@@ -466,7 +466,7 @@ def test_block_boundaries_change_no_bit_of_a_chunk(monkeypatch, problem):
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
-def test_multi_level_psi_comes_back_in_drawn_order(problem):
+def test_multi_level_psi_comes_back_in_level_order(problem):
     make_model, design, factory = PROBLEMS[problem]
     model = make_model()
     cases = _chunk_cases(model)
@@ -475,16 +475,45 @@ def test_multi_level_psi_comes_back_in_drawn_order(problem):
         delta, psi, _ = _chunk_variables(model, design, factory(), stream(3, 0, 1), levels,
                                          m0, **kw)
         assert psi.dtype == delta.dtype and psi.shape == delta.shape, name
-        zero = levels == 0                            # psi is delta at level 0
+        zero = np.sort(levels) == 0                   # psi is delta at level 0
         assert zero.any() and psi[zero].tobytes() == delta[zero].tobytes(), name
-    # The gradient psi of every level, sample for sample, against the loop.
+    # The gradient psi of every level, sample for sample, against the loop,
+    # whose groups come in increasing level, each in drawn order.
     levels, m0, _ = cases["multi-level"]
     _, psi, _ = _chunk_variables(model, design, factory(), stream(3, 0, 1), levels, m0)
     groups, _ = loop_reference._groups(model, design, factory(), stream(3, 0, 1), levels, m0)
     want = np.empty_like(psi)
-    for level, index, *draws in groups:
-        want[index] = loop_reference.correction_samples(model, design, level, *draws)[1]
+    for level, _, *draws in groups:
+        want[np.sort(levels) == level] = loop_reference.correction_samples(
+            model, design, level, *draws)[1]
     np.testing.assert_allclose(psi, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class ReversedLevels(LevelWeights):
+    """Each chunk's levels as drawn, reversed: the same counts in another
+    order, from the same draws."""
+
+    def sample_levels(self, rng, n):
+        return super().sample_levels(rng, n)[::-1]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_the_drawn_order_of_a_chunks_levels_changes_no_bit(problem):
+    # The estimators see a chunk's levels only as their counts, and sum its
+    # samples in level order.
+    make_model, design, factory = PROBLEMS[problem]
+    model = make_model()
+
+    def run(weights):
+        out = []
+        for antithetic in (True, False):
+            g = unbiased_gradient(model, design, 600, weights, factory(), 3,
+                                  antithetic=antithetic)
+            out += [g.grad, g.total_cost, g.per_sample_sq_norm_mean, g.n_fallback]
+        e = eig_unbiased_mlmc(model, design, 600, weights, factory(), 3)
+        return out + [e.value, e.std_error, e.total_inner_cost, e.n_fallback]
+
+    _assert_same_bytes(run(ReversedLevels()), run(LevelWeights()))
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
@@ -591,14 +620,14 @@ def test_batch_boundaries_change_no_bit_of_an_estimate(monkeypatch, problem):
         _assert_same_bytes(run(), default)
 
 
-def _block_shapes(monkeypatch, model, design, levels, plan, m0):
+def _block_shapes(monkeypatch, model, design, plan, m0):
     """The ``theta_inner`` shape of each likelihood call but the self call,
     per batch of ``plan``, each chunk drawn from its own stream."""
     calls = _record_calls(monkeypatch, model)
     blocks = []
     for batch in plan:
-        draws = [_draw_chunk(model, design, PriorProposalFactory(), np.random.default_rng(i),
-                             levels[i], m) for i, m in batch]
+        draws = [_draw_chunk(model, design, PriorProposalFactory(), np.random.default_rng(i), m)
+                 for i, m in batch]
         m = np.concatenate([m for _, m in batch])
         del calls[:]
         _batch_variables(model, design, draws, m, m > m0)
@@ -614,7 +643,7 @@ def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
                                       [0] * 9)]
     # At m0 2 and t 2: widths 2, 2, 2, 4, 8, 2, 2, 2 and entries 16, 20, 4,
     # 16, 16, 120, 4, 36.
-    plan = _plan([np.bincount(lv) for lv in levels], 2, model.t)
+    plan = _plan([np.bincount(lv) for lv in levels], 2, model)
     assert [[i for i, _ in batch] for batch in plan] == [[0, 1, 2], [3], [4], [5], [6, 7]]
     for batch in plan:                            # each chunk's inner counts, in level order
         for i, m in batch:
@@ -622,15 +651,15 @@ def test_batches_are_runs_of_equal_width_within_the_budget(monkeypatch):
     # A batch within the budget is one block of all its fit rows, in chunk
     # order; the lone chunk of 120 entries is cut into runs of whole samples
     # within the budget.
-    assert _block_shapes(monkeypatch, model, design, levels, plan, 2) == [
+    assert _block_shapes(monkeypatch, model, design, plan, 2) == [
         [(10, 2, 2)], [(2, 4, 2)], [(1, 8, 2)], [(10, 2, 2)] * 3, [(10, 2, 2)]]
     # A lone multi-level chunk over the budget is cut greedily into runs of
     # whole samples: 5 level-0 samples of 4 entries and 2 at level 1 of 8
     # (two fit rows each), then the other 4 at level 1, then one at level 4
     # of 64, wider than the budget, in a run of its own.
     levels = [np.array([0] * 5 + [1] * 6 + [4])]
-    plan = _plan([np.bincount(lv) for lv in levels], 2, model.t)
-    assert _block_shapes(monkeypatch, model, design, levels, plan, 2) == [
+    plan = _plan([np.bincount(lv) for lv in levels], 2, model)
+    assert _block_shapes(monkeypatch, model, design, plan, 2) == [
         [(9, 2, 2), (8, 2, 2), (16, 2, 2)]]
 
 
