@@ -312,6 +312,12 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "interrupted", "message": "stopped before the end"}),
               file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own lists
+        # and ints raise with no message.
+        print(json.dumps({"error": "memory", "message": str(exc) or "out of memory"}),
+              file=sys.stderr)
+        return EXIT_FAILURE
     except Exception as exc:
         category = getattr(exc, "category", "internal")
         print(json.dumps({"error": category, "message": str(exc)}),

@@ -48,10 +48,20 @@ per half of its inner rows, or one for its whole batch if it is not split
 (level 0).  So the segment lengths are one repeat of the per-sample segment
 sizes, the starts are their running sum, and each sample's first segment
 is the running sum of its segment counts.
+
+Importing this module changes the whole process: on glibc it has the
+allocator keep 16 MiB of freed heap memory for reuse (``mallopt`` with
+``M_TOP_PAD``, in ``_keep_freed_memory``).  By default glibc hands the
+memory of an estimate's freed arrays back to the system, and the next
+estimate faults the same pages in afresh: a step of the benchmark's PK
+ascent (about 20 ms) took some 1,100 page faults and 2.4 ms of system time.
+Other C libraries are left as they are.  No value changes either way.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -135,6 +145,29 @@ def _reduce(log_w, scores, self_term, m, split, antithetic):
 # 2**16 entries join the four chunks of a test-case or PK step and cut a
 # test-case `decay` level of 500 samples from level 7 on.
 _BLOCK_ENTRIES = 2**16
+
+# glibc's mallopt(3) parameter M_TOP_PAD, and the free memory it keeps at
+# the top of the heap, past what is in use: the arrays of the next batch are
+# served from pages already mapped.  A PK or test-case step of 2,000 outer
+# samples peaks at about 6 or 1 MB of arrays.
+_M_TOP_PAD = -2
+_TOP_PAD = 16 << 20
+
+
+def _keep_freed_memory():
+    """Have glibc keep ``_TOP_PAD`` bytes of freed heap memory for reuse; on
+    any other C library, do nothing."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):   # no confstr, or no such name
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TOP_PAD, _TOP_PAD)
+
+
+_keep_freed_memory()
 
 # Float64 values that one array can hold, numpy indexing at most
 # ``np.iinfo(np.intp).max`` bytes.

@@ -81,8 +81,9 @@ def _phi_derivs(u, w, T, order: int, out=None):
     ``T >= 0``.  Stable uniformly in ``u - w``, including the confluent case
     ``u == w``.
 
-    Work is done in place where it can be: every fresh full-size array costs
-    page faults once the allocator has returned the previous call's memory.
+    Work is done in place where it can be, which saves memory traffic.  Page
+    faults are the allocator's business: the package keeps freed heap memory
+    for reuse (see ``gradient``).
     """
     uT, wT = u * T, w * T
     eu = np.negative(uT)
@@ -192,6 +193,9 @@ class PkProblem(ProblemModel):
         self.d = self.t = self.params.n_times
         self.s = 3
         self.s_noise = 2 * self.params.n_times
+        # Noise scales per noise column, (eps1, eps2) for each time in turn.
+        self._noise_scale = np.tile(np.sqrt([self.params.sigma1_sq, self.params.sigma2_sq]),
+                                    self.params.n_times)
 
     # -- prior --------------------------------------------------------------
     def sample_prior(self, rng, n):
@@ -199,10 +203,9 @@ class PkProblem(ProblemModel):
         return p.prior_mean + np.sqrt(p.prior_var) * rng.standard_normal((n, 3))
 
     def sample_noise(self, rng, n):
-        p = self.params
-        eps = rng.standard_normal((n, p.n_times, 2))
-        eps *= np.sqrt([p.sigma1_sq, p.sigma2_sq])
-        return eps.reshape(n, -1)
+        eps = rng.standard_normal((n, self.s_noise))
+        eps *= self._noise_scale
+        return eps
 
     def prior_logpdf(self, theta):
         p = self.params

@@ -17,6 +17,11 @@ ms, their ratio (change over parent) and the pairs in which the change was
 faster.  ``--pairs`` sets every case's pairs (each has its own default),
 ``--case`` picks cases and ``--json`` also writes the rows to a file.  BLAS
 runs on one thread.
+
+One process holds both sides, so a change to the whole process reaches
+both: the allocator setting that the package makes at import, say, is made
+by whichever side is imported, for the two.  Such a change is measured in
+separate processes, by ``fault_probe.py`` or by the benchmark.
 """
 
 import argparse

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -142,6 +143,34 @@ def test_an_inner_draw_no_array_can_hold_is_a_numerical_error(tmp_path, capsys, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "numerical"
+
+
+def _child_env():
+    # A child interpreter imports the package from this checkout's src.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _limit_address_space():
+    # Runs in the child only: 2 GiB of address space, so that no allocation
+    # past it reaches the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-outer", str(2**62)],                            # a chunk list of 2**53 entries
+    ["--estimator", "stdmc", "--inner-m", str(2**40), "--n-outer", "1"],   # a 16 TiB draw
+])
+def test_a_run_out_of_memory_is_a_memory_error(tmp_path, flags):
+    res = subprocess.run([sys.executable, "-m", "mlmc_boed.cli", "eig", "--problem", "testcase",
+                          *flags, "--out", tmp_path], env=_child_env(),
+                         preexec_fn=_limit_address_space, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "memory" and error["message"]
 
 
 @pytest.mark.parametrize("command,flags,document", [
@@ -332,13 +361,11 @@ def test_zero_threads_is_a_configuration_error(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_and_exports_resolve():
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = ("import sys, mlmc_boed, mlmc_boed.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "missing = [n for n in mlmc_boed.__all__ if not hasattr(mlmc_boed, n)]\n"
             "assert not missing, missing\n")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
 
@@ -346,12 +373,10 @@ def test_cli_import_leaves_out_scipy_and_exports_resolve():
 def test_closed_stdout_exits_quietly_with_complete_files(tmp_path):
     # The reader goes away before the first line: nothing goes to stderr,
     # the status is 0, and the --out files equal those of a normal run.
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     args = ["decay", "--problem", "testcase", "--levels", "4",
             "--samples-per-level", "100", "--seed", "1", "--out"]
     proc = subprocess.Popen([sys.executable, "-m", "mlmc_boed.cli", *args, tmp_path / "closed"],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

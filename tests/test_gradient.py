@@ -1,6 +1,8 @@
 """Tests of the gradient variables, the self-normalized inner average and
 the randomized-level estimator."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from mlmc_boed import (
     eig_unbiased_mlmc,
     unbiased_gradient,
 )
+import fault_probe
 import loop_reference
 from mlmc_boed import gradient
 from mlmc_boed.gradient import _batch_variables, _draw_chunk, _plan, _reduce, _segment_sums
@@ -684,6 +687,25 @@ def test_a_pk_step_is_one_batch(monkeypatch):
     monkeypatch.setattr(model, "loglik_score", counted)
     unbiased_gradient(model, design, n_outer, weights, cfg.make_proposal_factory(), seed)
     assert calls[0] == (n_outer, 1, model.s) and len(calls) == 2, calls
+
+
+def _glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the freed-memory setting is glibc's")
+@pytest.mark.parametrize("case,bound", [("pk-grad-2000", 100), ("tc-grad-2000", 20)])
+def test_a_repeated_gradient_faults_in_no_fresh_pages(case, bound):
+    # In a fresh interpreter, 5 warm-up calls and then 20 calls at n_outer
+    # 2000, all the same call: each reuses the heap memory of the call
+    # before.  Where glibc hands that memory back, a pk call faults in about
+    # 3,000 fresh pages, and this test-case call up to about 200 (or none,
+    # as glibc's trim threshold falls above or below its memory).
+    row = fault_probe.measure(case, ops=20, seed=1)
+    assert row["faults_per_op"] < bound, row
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
